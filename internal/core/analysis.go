@@ -36,11 +36,11 @@ func (e *Engine) WeightProfileCtx(ctx context.Context, q score.Query, missing ob
 	if err != nil {
 		return nil, err
 	}
-	s, objs, _, err := e.validateWhyNot(ctx, sn, q, []object.ID{missing})
+	w, err := e.validateWhyNot(ctx, sn, q, []object.ID{missing})
 	if err != nil {
 		return nil, err
 	}
-	m := objs[0]
+	s, m := w.s, w.objs[0]
 	ml := lineOf(s, m)
 
 	// Build the crossing events of the missing object's line.
@@ -125,10 +125,11 @@ func (e *Engine) KeywordImpactsCtx(ctx context.Context, q score.Query, missing [
 	if err != nil {
 		return nil, err
 	}
-	s, objs, rankBefore, err := e.validateWhyNot(ctx, v.set, q, missing)
+	w, err := e.validateWhyNot(ctx, v.set, q, missing)
 	if err != nil {
 		return nil, err
 	}
+	s, objs, rankBefore := w.s, w.objs, w.worst
 	universe := q.Doc.Union(MissingDocUnion(objs))
 	cc := index.CancelOf(ctx)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/yask-engine/yask/internal/dataset"
@@ -136,12 +137,14 @@ func TestAdaptKeywordsBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchWorkersBound checks the worker-count clamp.
+// TestBatchWorkersBound checks the worker-count clamp. Every Workers
+// value ≤ 0 means GOMAXPROCS, so those expectations derive from the
+// host's core count.
 func TestBatchWorkersBound(t *testing.T) {
 	cases := []struct{ workers, jobs, want int }{
 		{0, 100, 1}, // GOMAXPROCS on the test machine is at least 1
 		{8, 3, 3},
-		{-5, 2, 1},
+		{-5, 2, min(runtime.GOMAXPROCS(0), 2)},
 		{2, 0, 1},
 	}
 	for _, c := range cases {

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"github.com/yask-engine/yask/internal/dataset"
+	"github.com/yask-engine/yask/internal/object"
+	"github.com/yask-engine/yask/internal/qcache"
 	"github.com/yask-engine/yask/internal/score"
 )
 
@@ -58,17 +60,22 @@ func TestCanceledQueryHygiene(t *testing.T) {
 			if len(missing) == 0 {
 				continue
 			}
-			if _, err := e.RankCtx(canceled, q, missing[0]); !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d q%d: canceled Rank err = %v", shards, qi, err)
+			probeWhyNot(t, fmt.Sprintf("shards=%d q%d", shards, qi), e, q, missing, canceled, expired)
+		}
+		// Every probe so far was canceled, so nothing at all was cached.
+		if st := e.Stats(); st.Cache.Entries != 0 {
+			t.Fatalf("shards=%d: canceled probes left %d cache entries", shards, st.Cache.Entries)
+		}
+		// Again with each initial top-k warm in the cache, the state a
+		// session's follow-ups meet: the canceled follow-ups still leave
+		// no rank behind.
+		for qi, wq := range qs {
+			q := wq.query(ds.Vocab)
+			if _, err := e.TopK(q); err != nil {
+				t.Fatal(err)
 			}
-			if _, err := e.ExplainCtx(canceled, q, missing); !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d q%d: canceled Explain err = %v", shards, qi, err)
-			}
-			if _, err := e.AdjustPreferenceCtx(canceled, q, missing, PreferenceOptions{Lambda: 0.5}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d q%d: canceled AdjustPreference err = %v", shards, qi, err)
-			}
-			if _, err := e.AdaptKeywordsCtx(canceled, q, missing[:1], KeywordOptions{Lambda: 0.5}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d q%d: canceled AdaptKeywords err = %v", shards, qi, err)
+			if missing := missingFromResult(plain, q, 2); len(missing) > 0 {
+				probeWhyNot(t, fmt.Sprintf("shards=%d q%d/warm", shards, qi), e, q, missing, canceled, expired)
 			}
 		}
 
@@ -81,6 +88,38 @@ func TestCanceledQueryHygiene(t *testing.T) {
 
 		if st := e.Stats(); st.Cache == nil || st.Cache.Hits == 0 {
 			t.Fatalf("shards=%d: equivalence pass never hit the cache", shards)
+		}
+	}
+}
+
+// probeWhyNot calls every rank-taking entry point — Rank, Explain,
+// preference adjustment, keyword adaption — under each of the dead
+// contexts, expects each to fail with that context's error, and then
+// asserts no missing object's rank reached the KindRank cache.
+func probeWhyNot(t *testing.T, label string, e *Engine, q score.Query, missing []object.ID, dead ...context.Context) {
+	t.Helper()
+	for _, ctx := range dead {
+		want := ctx.Err()
+		if _, err := e.RankCtx(ctx, q, missing[0]); !errors.Is(err, want) {
+			t.Fatalf("%s: dead-context Rank err = %v, want %v", label, err, want)
+		}
+		if _, err := e.ExplainCtx(ctx, q, missing); !errors.Is(err, want) {
+			t.Fatalf("%s: dead-context Explain err = %v, want %v", label, err, want)
+		}
+		if _, err := e.AdjustPreferenceCtx(ctx, q, missing, PreferenceOptions{Lambda: 0.5}); !errors.Is(err, want) {
+			t.Fatalf("%s: dead-context AdjustPreference err = %v, want %v", label, err, want)
+		}
+		if _, err := e.AdaptKeywordsCtx(ctx, q, missing[:1], KeywordOptions{Lambda: 0.5}); !errors.Is(err, want) {
+			t.Fatalf("%s: dead-context AdaptKeywords err = %v, want %v", label, err, want)
+		}
+	}
+	sn, err := e.acquireSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range missing {
+		if _, ok := e.cache.GetValue(sn.Epoch(), qcache.KindRank, q, []uint64{uint64(id)}); ok {
+			t.Fatalf("%s: a canceled call cached the rank of %d", label, id)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,6 +137,22 @@ func assertAnswersMatch(t *testing.T, ctx string, ref *Engine, refV *vocab.Vocab
 		missing := missingFromResult(ref, refQ, 2)
 		if len(missing) == 0 {
 			continue
+		}
+		// Explain first: on a cache-enabled engine it leaves the ranks
+		// the rank, preference and keyword checks below then reuse.
+		wantE, err1 := ref.Explain(refQ, missing)
+		gotE, err2 := got.Explain(gotQ, missing)
+		if err1 != nil || err2 != nil || len(gotE) != len(wantE) {
+			t.Fatalf("%s q%d: explain = %d (%v), want %d (%v)", ctx, qi, len(gotE), err2, len(wantE), err1)
+		}
+		for i, w := range wantE {
+			g := gotE[i]
+			// Documents hold vocabulary-specific keyword IDs; compare the
+			// object by ID and every analysed number.
+			g.Missing, w.Missing = object.Object{ID: g.Missing.ID}, object.Object{ID: w.Missing.ID}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s q%d: explanation %d diverges:\n got %+v\nwant %+v", ctx, qi, i, g, w)
+			}
 		}
 		for _, id := range missing {
 			w, err1 := ref.Rank(refQ, id)

@@ -884,66 +884,88 @@ func (e *Engine) RankCtx(ctx context.Context, q score.Query, id object.ID) (int,
 	if err != nil {
 		return 0, err
 	}
+	return e.rankOn(ctx, sn, setScorer(sn, q), e.coll.Get(id))
+}
+
+// rankOn returns o's 1-based rank under s on the SetR-family snapshot sn
+// through the epoch-keyed KindRank cache — the one rank path of Rank
+// and of every why-not follow-up, so a session's explain, preference
+// and keyword questions rank each missing object once per epoch. A
+// canceled traversal is an undefined partial count: it returns ctx.Err()
+// and stores nothing.
+func (e *Engine) rankOn(ctx context.Context, sn index.Snapshot, s score.Scorer, o object.Object) (int, error) {
 	epoch := sn.Epoch()
-	extra := [1]uint64{uint64(id)}
-	if v, ok := e.cache.GetValue(epoch, qcache.KindRank, q, extra[:]); ok {
+	extra := [1]uint64{uint64(o.ID)}
+	if v, ok := e.cache.GetValue(epoch, qcache.KindRank, s.Query, extra[:]); ok {
 		return v.(int), nil
 	}
-	rank := index.RankOf(index.CancelOf(ctx), sn, setScorer(sn, q), e.coll.Get(id))
+	rank := index.RankOf(index.CancelOf(ctx), sn, s, o)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	e.cache.PutValue(epoch, qcache.KindRank, q, extra[:], rank)
+	e.cache.PutValue(epoch, qcache.KindRank, s.Query, extra[:], rank)
 	return rank, nil
+}
+
+// whyNot is a validated why-not question against one SetR-family
+// snapshot.
+type whyNot struct {
+	// s is the initial query's scorer, pinned to the snapshot.
+	s score.Scorer
+	// objs are the missing objects in request order; ranks[i] is objs[i]'s
+	// rank under the initial query.
+	objs  []object.Object
+	ranks []int
+	// worst is R(M, q), the lowest (worst) rank of any missing object —
+	// the normalization constant of both penalty functions.
+	worst int
 }
 
 // validateWhyNot checks the common preconditions of the why-not
 // operations against an already-acquired SetR-family snapshot: a valid
 // initial query and a non-empty missing set of objects that are
-// genuinely absent from the initial result (rank > k). It returns the
-// scorer (pinned to the snapshot), the missing objects, and R(M, q) —
-// the lowest (worst) rank of any missing object under the initial
-// query, the normalization constant of both penalty functions.
-func (e *Engine) validateWhyNot(ctx context.Context, sn index.Snapshot, q score.Query, missing []object.ID) (score.Scorer, []object.Object, int, error) {
+// genuinely absent from the initial result (rank > k). The ranks come
+// from rankOn, so repeat follow-ups on one epoch reuse them.
+func (e *Engine) validateWhyNot(ctx context.Context, sn index.Snapshot, q score.Query, missing []object.ID) (whyNot, error) {
 	if err := q.Validate(); err != nil {
-		return score.Scorer{}, nil, 0, err
+		return whyNot{}, err
 	}
 	if len(missing) == 0 {
-		return score.Scorer{}, nil, 0, errors.New("core: why-not question needs at least one missing object")
+		return whyNot{}, errors.New("core: why-not question needs at least one missing object")
 	}
-	cc := index.CancelOf(ctx)
-	s := setScorer(sn, q)
+	w := whyNot{
+		s:     setScorer(sn, q),
+		objs:  make([]object.Object, 0, len(missing)),
+		ranks: make([]int, 0, len(missing)),
+	}
 	seen := make(map[object.ID]bool, len(missing))
-	objs := make([]object.Object, 0, len(missing))
-	worst := 0
 	for _, id := range missing {
 		if int(id) >= e.coll.Len() {
-			return score.Scorer{}, nil, 0, fmt.Errorf("core: unknown object ID %d", id)
+			return whyNot{}, fmt.Errorf("core: unknown object ID %d", id)
 		}
 		if !e.coll.Alive(id) {
-			return score.Scorer{}, nil, 0, fmt.Errorf("core: object %d has been removed", id)
+			return whyNot{}, fmt.Errorf("core: object %d has been removed", id)
 		}
 		if seen[id] {
-			return score.Scorer{}, nil, 0, fmt.Errorf("core: duplicate missing object %d", id)
+			return whyNot{}, fmt.Errorf("core: duplicate missing object %d", id)
 		}
 		seen[id] = true
 		o := e.coll.Get(id)
-		rank := index.RankOf(cc, sn, s, o)
-		if err := ctx.Err(); err != nil {
+		rank, err := e.rankOn(ctx, sn, w.s, o)
+		if err != nil {
 			// A canceled rank is an undefined partial count; it must not
 			// drive the already-in-top-k rejection below.
-			return score.Scorer{}, nil, 0, err
+			return whyNot{}, err
 		}
 		if rank <= q.K {
-			return score.Scorer{}, nil, 0, fmt.Errorf(
+			return whyNot{}, fmt.Errorf(
 				"core: object %d is already in the top-%d result (rank %d); not a why-not question", id, q.K, rank)
 		}
-		if rank > worst {
-			worst = rank
-		}
-		objs = append(objs, o)
+		w.worst = max(w.worst, rank)
+		w.objs = append(w.objs, o)
+		w.ranks = append(w.ranks, rank)
 	}
-	return s, objs, worst, nil
+	return w, nil
 }
 
 // MissingDocUnion returns M.doc = ⋃ o.doc over the missing objects, the

@@ -68,38 +68,40 @@ func TestValidateWhyNotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := e.validateWhyNot(context.Background(), v, q, nil); err == nil {
+	if _, err := e.validateWhyNot(context.Background(), v, q, nil); err == nil {
 		t.Error("empty missing set accepted")
 	}
-	if _, _, _, err := e.validateWhyNot(context.Background(), v, q, []object.ID{9999}); err == nil {
+	if _, err := e.validateWhyNot(context.Background(), v, q, []object.ID{9999}); err == nil {
 		t.Error("unknown ID accepted")
 	}
 	m := missingFromResult(e, q, 1)
-	if _, _, _, err := e.validateWhyNot(context.Background(), v, q, []object.ID{m[0], m[0]}); err == nil {
+	if _, err := e.validateWhyNot(context.Background(), v, q, []object.ID{m[0], m[0]}); err == nil {
 		t.Error("duplicate missing accepted")
 	}
 	// An object already in the result is not a why-not question.
-	if _, _, _, err := e.validateWhyNot(context.Background(), v, q, []object.ID{res[0].Obj.ID}); err == nil {
+	if _, err := e.validateWhyNot(context.Background(), v, q, []object.ID{res[0].Obj.ID}); err == nil {
 		t.Error("result member accepted as missing")
 	}
-	// Valid case returns the worst initial rank.
+	// Valid case returns each missing object's rank and the worst one.
 	miss := missingFromResult(e, q, 2)
 	s := score.NewScorer(q, ds.Objects)
-	_, objs, worst, err := e.validateWhyNot(context.Background(), v, q, miss)
+	w, err := e.validateWhyNot(context.Background(), v, q, miss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(objs) != 2 {
-		t.Fatalf("objs = %d", len(objs))
+	if len(w.objs) != 2 || len(w.ranks) != 2 {
+		t.Fatalf("objs = %d, ranks = %d", len(w.objs), len(w.ranks))
 	}
 	wantWorst := 0
-	for _, id := range miss {
-		if r := settree.ScanRank(ds.Objects, s, id); r > wantWorst {
-			wantWorst = r
+	for i, id := range miss {
+		r := settree.ScanRank(ds.Objects, s, id)
+		if w.ranks[i] != r {
+			t.Fatalf("rank of %d = %d, want %d", id, w.ranks[i], r)
 		}
+		wantWorst = max(wantWorst, r)
 	}
-	if worst != wantWorst {
-		t.Fatalf("worst rank %d, want %d", worst, wantWorst)
+	if w.worst != wantWorst {
+		t.Fatalf("worst rank %d, want %d", w.worst, wantWorst)
 	}
 }
 

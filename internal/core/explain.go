@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/yask-engine/yask/internal/index"
 	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/qcache"
 	"github.com/yask-engine/yask/internal/score"
@@ -81,6 +80,11 @@ func (e *Engine) Explain(q score.Query, missing []object.ID) ([]Explanation, err
 // ExplainCtx is Explain under a context: the top-k and every rank
 // computation poll the context's cancellation signal, and a canceled
 // analysis returns ctx.Err() without caching anything.
+//
+// Nothing here is computed twice in a session: the missing objects'
+// ranks are validateWhyNot's (cached per epoch for the preference and
+// keyword follow-ups), and the initial top-k is the one the session's
+// initial query left in the result cache, traversed only on a miss.
 func (e *Engine) ExplainCtx(ctx context.Context, q score.Query, missing []object.ID) ([]Explanation, error) {
 	// One checked view serves the whole analysis, so the top-k and
 	// every rank computation agree on one consistent arena set.
@@ -88,10 +92,11 @@ func (e *Engine) ExplainCtx(ctx context.Context, q score.Query, missing []object
 	if err != nil {
 		return nil, err
 	}
-	s, objs, _, err := e.validateWhyNot(ctx, sn, q, missing)
+	w, err := e.validateWhyNot(ctx, sn, q, missing)
 	if err != nil {
 		return nil, err
 	}
+	s := w.s
 	// Cached analyses are keyed on the missing IDs as well as the query;
 	// validation above runs either way, so a hit and a recompute reject
 	// exactly the same inputs. Hits hand out a fresh slice: Explanation
@@ -104,9 +109,8 @@ func (e *Engine) ExplainCtx(ctx context.Context, q score.Query, missing []object
 	if v, ok := e.cache.GetValue(epoch, qcache.KindExplain, q, extra); ok {
 		return append([]Explanation(nil), v.([]Explanation)...), nil
 	}
-	cc := index.CancelOf(ctx)
-	result := sn.TopK(cc, s, q.K, nil, nil)
-	if err := ctx.Err(); err != nil {
+	result, err := e.topKOn(ctx, sn, q, nil)
+	if err != nil {
 		return nil, err
 	}
 	if len(result) == 0 {
@@ -121,13 +125,13 @@ func (e *Engine) ExplainCtx(ctx context.Context, q score.Query, missing []object
 	avgSD /= float64(len(result))
 	avgTS /= float64(len(result))
 
-	out := make([]Explanation, len(objs))
-	for i, o := range objs {
+	out := make([]Explanation, len(w.objs))
+	for i, o := range w.objs {
 		sd := s.SDist(o)
 		ts := s.TSim(o)
 		ex := Explanation{
 			Missing:        o,
-			Rank:           index.RankOf(cc, sn, s, o),
+			Rank:           w.ranks[i],
 			Score:          s.Score(o),
 			SDist:          sd,
 			TSim:           ts,
@@ -172,8 +176,8 @@ func (e *Engine) ExplainCtx(ctx context.Context, q score.Query, missing []object
 		out[i] = ex
 	}
 	if err := ctx.Err(); err != nil {
-		// Canceled mid-analysis: the ranks above are partial counts, so
-		// the explanations are garbage — discard, and never cache them.
+		// Canceled mid-analysis: honour the cancellation even when every
+		// input came from the cache, and never cache the analysis.
 		return nil, err
 	}
 	e.cache.PutValue(epoch, qcache.KindExplain, q, extra, append([]Explanation(nil), out...))

@@ -107,10 +107,11 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 	if err != nil {
 		return KeywordResult{}, err
 	}
-	s, objs, rankBefore, err := e.validateWhyNot(ctx, v.set, q, missing)
+	w, err := e.validateWhyNot(ctx, v.set, q, missing)
 	if err != nil {
 		return KeywordResult{}, err
 	}
+	s, objs, rankBefore := w.s, w.objs, w.worst
 	if err := validateLambda(opts.Lambda); err != nil {
 		return KeywordResult{}, err
 	}
@@ -301,9 +302,9 @@ func (e *Engine) KeywordUniverse(q score.Query, missing []object.ID) (vocab.Keyw
 	if err != nil {
 		return nil, err
 	}
-	_, objs, _, err := e.validateWhyNot(context.Background(), v.set, q, missing)
+	w, err := e.validateWhyNot(context.Background(), v.set, q, missing)
 	if err != nil {
 		return nil, err
 	}
-	return q.Doc.Union(MissingDocUnion(objs)), nil
+	return q.Doc.Union(MissingDocUnion(w.objs)), nil
 }

@@ -79,60 +79,62 @@ type PreferenceResult struct {
 }
 
 // scoreLine is one object's ranking score as a function of wt ∈ (0, 1):
-// f(wt) = a + b·wt, with a = 1 − SDist and b = TSim − a. This is the 1-D
-// form of the paper's segment in the 2-D weight plane (ws + wt = 1
-// collapses the plane to the wt axis).
+// f(wt) = v0 + (v1 − v0)·wt, with v0 = 1 − SDist (the value at wt = 0)
+// and v1 = TSim (the value at wt = 1). This is the 1-D form of the
+// paper's segment in the 2-D weight plane (ws + wt = 1 collapses the
+// plane to the wt axis). Both endpoint values are stored exactly and
+// the slope is derived from them, never the other way round: rebuilding
+// v1 as v0 + slope is off by an ulp often enough that two objects with
+// identical TSim would compare unequal at wt = 1.
 type scoreLine struct {
-	a, b float64
-	id   object.ID
+	v0, v1 float64
+	id     object.ID
 }
 
 func lineOf(s score.Scorer, o object.Object) scoreLine {
 	spatial, textual := s.Components(o)
-	return scoreLine{a: spatial, b: textual - spatial, id: o.ID}
+	return scoreLine{v0: spatial, v1: textual, id: o.ID}
 }
 
-// eval returns the score at wt.
-func (l scoreLine) eval(wt float64) float64 { return l.a + l.b*wt }
+// slope returns df/dwt.
+func (l scoreLine) slope() float64 { return l.v1 - l.v0 }
 
 // aboveNear0 reports whether l ranks above m on the open interval just
-// inside wt = 0 (ties between identical lines break by ID, matching
-// score.Better).
+// inside wt = 0. A tie at 0 is decided by the other endpoint (the line
+// higher at 1 is higher just right of 0); identical lines break by ID,
+// matching score.Better.
 func (l scoreLine) aboveNear0(m scoreLine) bool {
-	da := l.a - m.a
-	db := l.b - m.b
-	if da != 0 {
-		return da > 0
+	if l.v0 != m.v0 {
+		return l.v0 > m.v0
 	}
-	if db != 0 {
-		return db > 0
+	if l.v1 != m.v1 {
+		return l.v1 > m.v1
 	}
 	return l.id < m.id
 }
 
-// aboveNear1 reports whether l ranks above m just inside wt = 1.
+// aboveNear1 reports whether l ranks above m just inside wt = 1, by the
+// same rule mirrored: the wt = 1 values compared exactly, a tie there
+// decided by the values at 0.
 func (l scoreLine) aboveNear1(m scoreLine) bool {
-	d1 := (l.a + l.b) - (m.a + m.b)
-	if d1 != 0 {
-		return d1 > 0
+	if l.v1 != m.v1 {
+		return l.v1 > m.v1
 	}
-	db := l.b - m.b
-	if db != 0 {
-		// Equal at 1; approaching from the left the sign is −db.
-		return db < 0
+	if l.v0 != m.v0 {
+		return l.v0 > m.v0
 	}
 	return l.id < m.id
 }
 
 // crossing returns the interior crossing point of l and m and whether
-// the two lines swap order inside (0, 1). Crossings that round to the
-// interval boundary are dropped: the pair then keeps one order over
-// (numerically) the whole interval.
+// the two lines swap order inside (0, 1). Lines that tie at an endpoint
+// keep one order over the whole open interval and never cross;
+// crossings that round to the interval boundary are dropped as well.
 func (l scoreLine) crossing(m scoreLine) (float64, bool) {
 	if l.aboveNear0(m) == l.aboveNear1(m) {
 		return 0, false
 	}
-	wt := (m.a - l.a) / (l.b - m.b)
+	wt := (m.v0 - l.v0) / (l.slope() - m.slope())
 	if !(wt > 0 && wt < 1) {
 		return 0, false
 	}
@@ -163,10 +165,11 @@ func (e *Engine) AdjustPreferenceCtx(ctx context.Context, q score.Query, missing
 	if err != nil {
 		return PreferenceResult{}, err
 	}
-	s, objs, rankBefore, err := e.validateWhyNot(ctx, v.set, q, missing)
+	w, err := e.validateWhyNot(ctx, v.set, q, missing)
 	if err != nil {
 		return PreferenceResult{}, err
 	}
+	s, objs, rankBefore := w.s, w.objs, w.worst
 	if err := validateLambda(opts.Lambda); err != nil {
 		return PreferenceResult{}, err
 	}
@@ -293,7 +296,7 @@ func (e *Engine) adjustBySweep(ctx context.Context, v engineView, s score.Scorer
 		// report back in global ID space.
 		for mi, ml := range mLines {
 			mi, ml := mi, ml
-			v.kc.ForEachCross(cc, s, ml.a, ml.a+ml.b,
+			v.kc.ForEachCross(cc, s, ml.v0, ml.v1,
 				func(o object.Object) {
 					if o.ID == ml.id {
 						return

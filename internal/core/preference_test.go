@@ -256,8 +256,8 @@ func TestAdjustPreferenceInvalidInputs(t *testing.T) {
 
 func TestScoreLineGeometry(t *testing.T) {
 	// f_a(wt) = 0.8 − 0.6wt; f_b(wt) = 0.2 + 0.6wt → cross at wt = 0.5.
-	a := scoreLine{a: 0.8, b: -0.6, id: 0}
-	b := scoreLine{a: 0.2, b: 0.6, id: 1}
+	a := scoreLine{v0: 0.8, v1: 0.2, id: 0}
+	b := scoreLine{v0: 0.2, v1: 0.8, id: 1}
 	if !a.aboveNear0(b) || a.aboveNear1(b) {
 		t.Fatal("endpoint orders wrong")
 	}
@@ -266,12 +266,12 @@ func TestScoreLineGeometry(t *testing.T) {
 		t.Fatalf("crossing = %v, %v", wt, ok)
 	}
 	// Parallel lines never cross.
-	c := scoreLine{a: 0.5, b: -0.6, id: 2}
+	c := scoreLine{v0: 0.5, v1: -0.1, id: 2}
 	if _, ok := a.crossing(c); ok {
 		t.Fatal("parallel lines reported crossing")
 	}
 	// Identical lines tie by ID and never cross.
-	d := scoreLine{a: 0.8, b: -0.6, id: 3}
+	d := scoreLine{v0: 0.8, v1: 0.2, id: 3}
 	if _, ok := a.crossing(d); ok {
 		t.Fatal("identical lines reported crossing")
 	}
@@ -282,9 +282,52 @@ func TestScoreLineGeometry(t *testing.T) {
 		t.Fatal("identical lines: larger ID should be below")
 	}
 	// Crossing exactly at an endpoint is not interior.
-	ep := scoreLine{a: 0.8, b: 0.6, id: 4} // equal to a at wt=0
+	ep := scoreLine{v0: 0.8, v1: 1.4, id: 4} // equal to a at wt=0
 	if _, ok := ep.crossing(a); ok {
 		t.Fatal("endpoint-touching lines reported interior crossing")
+	}
+	if !ep.aboveNear0(a) || !ep.aboveNear1(a) {
+		t.Fatal("tie at 0: the line higher at 1 should be above throughout")
+	}
+}
+
+// TestScoreLineEqualTSimNeverCross is the regression test for lines that
+// meet exactly at wt = 1 (two objects with identical textual similarity
+// and different distances). Each pair below is one where rebuilding the
+// wt = 1 value as spatial + (textual − spatial) lands an ulp off the
+// stored TSim, which used to put a spurious crossing at 1 − ε — a
+// refinement "reviving" a missing object at a weight where it still
+// ties from below. The lines must tie at 1, keep the order their
+// spatial scores give over the whole open interval, and never cross.
+func TestScoreLineEqualTSimNeverCross(t *testing.T) {
+	pairs := []struct{ tsim, s0, s1 float64 }{
+		{0.3, 0.8943617293304537, 0.09745461839911657},
+		{0.2, 0.3220839705208817, 0.7211477651926741},
+		{0.2, 0.0005138155161213613, 0.7360686014954314},
+		{1.0 / 3, 0.915821314612957, 0.5898341850049194},
+		{0.1, 0.17365584472313275, 0.5926237532124455},
+		{0.1, 0.01980867032545194, 0.6450388660194482},
+		{0.1, 0.7185304493527748, 0.40673677545039083},
+		{0.6, 0.044990698677957075, 0.31536198151820755},
+	}
+	for i, p := range pairs {
+		// Guard the fixture: the rebuilt wt = 1 values really disagree.
+		if p.s0+(p.tsim-p.s0) == p.s1+(p.tsim-p.s1) {
+			t.Fatalf("pair %d no longer reproduces the rounding", i)
+		}
+		l := scoreLine{v0: p.s0, v1: p.tsim, id: 0}
+		m := scoreLine{v0: p.s1, v1: p.tsim, id: 1}
+		for _, pair := range [][2]scoreLine{{l, m}, {m, l}} {
+			x, y := pair[0], pair[1]
+			if wt, ok := x.crossing(y); ok {
+				t.Fatalf("pair %d: equal-TSim lines %+v, %+v cross at %v", i, x, y, wt)
+			}
+			want := x.v0 > y.v0
+			if x.aboveNear0(y) != want || x.aboveNear1(y) != want {
+				t.Fatalf("pair %d: %+v above %+v near 0/1 = %v/%v, want %v",
+					i, x, y, x.aboveNear0(y), x.aboveNear1(y), want)
+			}
+		}
 	}
 }
 

@@ -273,7 +273,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := float64(time.Since(start).Microseconds()) / 1000
-	id := s.sessions.put(q, results)
+	id := s.sessions.put(q)
 	s.log.add(logEntry{Time: time.Now(), Kind: "query", SessionID: id, Query: q, ElapsedMS: elapsed})
 	writeJSON(w, http.StatusOK, queryResponse{SessionID: id, Results: results, ElapsedMS: elapsed})
 }
@@ -362,7 +362,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	sess, ok := s.sessions.get(req.SessionID)
+	query, ok := s.sessions.get(req.SessionID)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown or expired session %q", req.SessionID))
 		return
@@ -373,7 +373,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 	var refined yask.Query
 	switch req.Model {
 	case "preference":
-		ref, err := s.engine.WhyNotPreferenceCtx(r.Context(), sess.query, req.Missing, opts)
+		ref, err := s.engine.WhyNotPreferenceCtx(r.Context(), query, req.Missing, opts)
 		if err != nil {
 			s.writeQueryError(w, err)
 			return
@@ -381,7 +381,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 		resp.Preference = ref
 		refined = ref.Query
 	case "keyword":
-		ref, err := s.engine.WhyNotKeywordsCtx(r.Context(), sess.query, req.Missing, opts)
+		ref, err := s.engine.WhyNotKeywordsCtx(r.Context(), query, req.Missing, opts)
 		if err != nil {
 			s.writeQueryError(w, err)
 			return
@@ -389,7 +389,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 		resp.Keyword = ref
 		refined = ref.Query
 	case "best":
-		ref, err := s.engine.WhyNotBestCtx(r.Context(), sess.query, req.Missing, opts)
+		ref, err := s.engine.WhyNotBestCtx(r.Context(), query, req.Missing, opts)
 		if err != nil {
 			s.writeQueryError(w, err)
 			return
@@ -443,19 +443,19 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	sess, ok := s.sessions.get(req.SessionID)
+	query, ok := s.sessions.get(req.SessionID)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown or expired session %q", req.SessionID))
 		return
 	}
 	start := time.Now()
-	exps, err := s.engine.ExplainCtx(r.Context(), sess.query, req.Missing)
+	exps, err := s.engine.ExplainCtx(r.Context(), query, req.Missing)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
 	elapsed := float64(time.Since(start).Microseconds()) / 1000
-	s.log.add(logEntry{Time: time.Now(), Kind: "explain", SessionID: req.SessionID, Query: sess.query, ElapsedMS: elapsed})
+	s.log.add(logEntry{Time: time.Now(), Kind: "explain", SessionID: req.SessionID, Query: query, ElapsedMS: elapsed})
 	writeJSON(w, http.StatusOK, explainResponse{Explanations: exps, ElapsedMS: elapsed})
 }
 
@@ -471,12 +471,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	sess, ok := s.sessions.get(req.SessionID)
+	query, ok := s.sessions.get(req.SessionID)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown or expired session %q", req.SessionID))
 		return
 	}
-	steps, err := s.engine.RankProfileCtx(r.Context(), sess.query, req.Missing)
+	steps, err := s.engine.RankProfileCtx(r.Context(), query, req.Missing)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
@@ -490,12 +490,12 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	sess, ok := s.sessions.get(req.SessionID)
+	query, ok := s.sessions.get(req.SessionID)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown or expired session %q", req.SessionID))
 		return
 	}
-	sugs, err := s.engine.SuggestKeywordsCtx(r.Context(), sess.query, req.Missing)
+	sugs, err := s.engine.SuggestKeywordsCtx(r.Context(), query, req.Missing)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

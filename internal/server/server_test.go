@@ -209,7 +209,7 @@ func TestSessionTTLExpiry(t *testing.T) {
 	st := newSessionStore(time.Minute)
 	base := time.Unix(1000, 0)
 	st.now = func() time.Time { return base }
-	id := st.put(yask.Query{}, nil)
+	id := st.put(yask.Query{Keywords: []string{"wifi"}})
 	if _, ok := st.get(id); !ok {
 		t.Fatal("fresh session missing")
 	}
@@ -217,8 +217,13 @@ func TestSessionTTLExpiry(t *testing.T) {
 	if _, ok := st.get(id); ok {
 		t.Fatal("expired session still served")
 	}
-	if st.len() != 0 {
-		t.Fatalf("store len = %d", st.len())
+	// The expired get itself removed the session.
+	if _, ok := st.m[id]; ok {
+		t.Fatal("expired get left the session behind")
+	}
+	wantOrder(t, st)
+	if st.len() != 0 || st.bytes != 0 {
+		t.Fatalf("store len = %d, bytes = %d", st.len(), st.bytes)
 	}
 }
 
@@ -226,7 +231,7 @@ func TestSessionTTLRefreshOnUse(t *testing.T) {
 	st := newSessionStore(time.Minute)
 	base := time.Unix(1000, 0)
 	st.now = func() time.Time { return base }
-	id := st.put(yask.Query{}, nil)
+	id := st.put(yask.Query{})
 	for i := 0; i < 5; i++ {
 		base = base.Add(40 * time.Second)
 		if _, ok := st.get(id); !ok {

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/yask-engine/yask"
 )
@@ -20,80 +21,168 @@ import (
 // follow-up why-not activity.
 const DefaultSessionTTL = 30 * time.Minute
 
-// session is one cached initial query and its result.
+// The session store's hard caps. Past either one, put evicts the least
+// recently used sessions first, so a flood of one-shot queries (or a few
+// with enormous keyword lists) bounds memory instead of growing it for a
+// whole TTL.
+const (
+	// maxSessions bounds the number of live sessions.
+	maxSessions = 1 << 17
+	// maxSessionBytes bounds the keyword bytes all live sessions hold
+	// together (see queryBytes).
+	maxSessionBytes = 16 << 20
+)
+
+// session is one cached initial query. It holds the query only, not the
+// results it returned: every follow-up re-runs against the engine's
+// current snapshot, and the initial top-k it needs is the one the query
+// left in the engine's result cache.
 type session struct {
 	id       string
 	query    yask.Query
-	results  []yask.Result
+	bytes    int // queryBytes(query), charged against maxSessionBytes
 	lastUsed time.Time
+	// prev and next link the store's recency list.
+	prev, next *session
 }
 
 // sessionStore caches initial queries by session ID, mirroring the
 // paper's "the server caches users' initial spatial keyword queries
 // until users give up asking follow-up why-not questions".
+//
+// Every operation is O(1) amortized. Sessions sit in a doubly linked
+// list ordered by lastUsed, least recent at the front: get moves its
+// session to the back, so expiry pops expired sessions off the front
+// and stops at the first live one, and the caps evict from the front
+// too. Nothing ever sweeps the whole map.
 type sessionStore struct {
 	mu  sync.Mutex
 	ttl time.Duration
 	now func() time.Time
 	m   map[string]*session
+	// head is the least recently used session, tail the most recent.
+	head, tail *session
+	// bytes is the sum of the live sessions' bytes.
+	bytes int
+	// maxCount and maxBytes are the caps, maxSessions and
+	// maxSessionBytes outside tests.
+	maxCount, maxBytes int
 }
 
 func newSessionStore(ttl time.Duration) *sessionStore {
 	if ttl <= 0 {
 		ttl = DefaultSessionTTL
 	}
-	return &sessionStore{ttl: ttl, now: time.Now, m: make(map[string]*session)}
+	return &sessionStore{
+		ttl: ttl, now: time.Now, m: make(map[string]*session),
+		maxCount: maxSessions, maxBytes: maxSessionBytes,
+	}
+}
+
+// queryBytes is what a session's query is charged against
+// maxSessionBytes: its keywords, each with its string header.
+func queryBytes(q yask.Query) int {
+	n := 0
+	for _, kw := range q.Keywords {
+		n += len(kw) + int(unsafe.Sizeof(kw))
+	}
+	return n
 }
 
 // put stores a new session and returns its ID.
-func (st *sessionStore) put(q yask.Query, results []yask.Result) string {
+func (st *sessionStore) put(q yask.Query) string {
 	id := newSessionID()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.evictLocked()
-	st.m[id] = &session{id: id, query: q, results: results, lastUsed: st.now()}
+	now := st.now()
+	st.expireLocked(now)
+	s := &session{id: id, query: q, bytes: queryBytes(q), lastUsed: now}
+	st.m[id] = s
+	st.bytes += s.bytes
+	st.pushBackLocked(s)
+	for st.head != s && (len(st.m) > st.maxCount || st.bytes > st.maxBytes) {
+		st.removeLocked(st.head)
+	}
 	return id
 }
 
-// get fetches a live session and refreshes its TTL.
-func (st *sessionStore) get(id string) (*session, bool) {
+// get fetches a live session's query, refreshes its TTL and moves it to
+// the back of the recency list.
+func (st *sessionStore) get(id string) (yask.Query, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s, ok := st.m[id]
 	if !ok {
-		return nil, false
+		return yask.Query{}, false
 	}
-	if st.now().Sub(s.lastUsed) > st.ttl {
-		delete(st.m, id)
-		return nil, false
+	now := st.now()
+	if now.Sub(s.lastUsed) > st.ttl {
+		st.removeLocked(s)
+		return yask.Query{}, false
 	}
-	s.lastUsed = st.now()
-	return s, true
+	s.lastUsed = now
+	st.unlinkLocked(s)
+	st.pushBackLocked(s)
+	return s.query, true
 }
 
 // drop removes a session (the user gave up asking why-not questions).
 func (st *sessionStore) drop(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	delete(st.m, id)
+	if s, ok := st.m[id]; ok {
+		st.removeLocked(s)
+	}
 }
 
 // len returns the number of live sessions.
 func (st *sessionStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.evictLocked()
+	st.expireLocked(st.now())
 	return len(st.m)
 }
 
-// evictLocked removes expired sessions. Callers hold st.mu.
-func (st *sessionStore) evictLocked() {
-	cutoff := st.now().Add(-st.ttl)
-	for id, s := range st.m {
-		if s.lastUsed.Before(cutoff) {
-			delete(st.m, id)
-		}
+// expireLocked pops expired sessions off the front of the recency list,
+// stopping at the first live one. Callers hold st.mu.
+func (st *sessionStore) expireLocked(now time.Time) {
+	for st.head != nil && now.Sub(st.head.lastUsed) > st.ttl {
+		st.removeLocked(st.head)
 	}
+}
+
+// removeLocked deletes s from the map and the list. Callers hold st.mu.
+func (st *sessionStore) removeLocked(s *session) {
+	st.unlinkLocked(s)
+	delete(st.m, s.id)
+	st.bytes -= s.bytes
+}
+
+// pushBackLocked appends an unlinked s as the most recent session.
+// Callers hold st.mu.
+func (st *sessionStore) pushBackLocked(s *session) {
+	s.prev, s.next = st.tail, nil
+	if st.tail != nil {
+		st.tail.next = s
+	} else {
+		st.head = s
+	}
+	st.tail = s
+}
+
+// unlinkLocked takes s out of the recency list. Callers hold st.mu.
+func (st *sessionStore) unlinkLocked(s *session) {
+	if s.prev != nil {
+		s.prev.next = s.next
+	} else {
+		st.head = s.next
+	}
+	if s.next != nil {
+		s.next.prev = s.prev
+	} else {
+		st.tail = s.prev
+	}
+	s.prev, s.next = nil, nil
 }
 
 func newSessionID() string {
