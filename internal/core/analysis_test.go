@@ -69,7 +69,7 @@ func TestWeightProfileMatchesScanRank(t *testing.T) {
 func TestWeightProfileConsistentWithAdjustPreference(t *testing.T) {
 	e, ds := testEngine(t, 300, 33)
 	q, miss := prefWorkload(t, e, ds, 90, 5, 2, 1)
-	res, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: PrefSweep})
+	res, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -628,10 +628,6 @@ func (e *Engine) Collection() *object.Collection { return e.coll }
 // sharded (per-shard providers live behind the shard group).
 func (e *Engine) SetIndex() *settree.Index { return e.set }
 
-// KcIndex returns the single-backend KcR-tree, nil when the engine is
-// sharded.
-func (e *Engine) KcIndex() *kcrtree.Index { return e.kc }
-
 // ShardStats is one shard's row of EngineStats.
 type ShardStats struct {
 	// Shard is the shard number (0 for the single-index backend).

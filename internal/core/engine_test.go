@@ -215,19 +215,6 @@ func TestReasonString(t *testing.T) {
 	}
 }
 
-func TestAlgorithmStrings(t *testing.T) {
-	for _, a := range []PreferenceAlgorithm{PrefSweepIndexed, PrefSweep, PrefSampling, PreferenceAlgorithm(9)} {
-		if a.String() == "" {
-			t.Fatal("empty PreferenceAlgorithm string")
-		}
-	}
-	for _, a := range []KeywordAlgorithm{KwBoundPrune, KwExhaustive, KeywordAlgorithm(9)} {
-		if a.String() == "" {
-			t.Fatal("empty KeywordAlgorithm string")
-		}
-	}
-}
-
 func TestValidateLambda(t *testing.T) {
 	for _, l := range []float64{0, 0.5, 1} {
 		if err := validateLambda(l); err != nil {

@@ -11,41 +11,30 @@ import (
 	"github.com/yask-engine/yask/internal/vocab"
 )
 
-// KeywordAlgorithm selects the keyword-adaption implementation.
+// KeywordAlgorithm names the keyword-adaption implementation. There is
+// one: the paper's bound-and-prune, the zero value.
 type KeywordAlgorithm int
 
-const (
-	// KwBoundPrune is the paper's optimized algorithm [6]: candidates
-	// are enumerated in increasing Δdoc order; each candidate's penalty
-	// is first bounded through shallow KcR-tree rank bounds and pruned
-	// against the best penalty seen; only survivors pay for an exact
-	// rank computation (itself index-pruned). Exact over the candidate
-	// space.
-	KwBoundPrune KeywordAlgorithm = iota
-	// KwExhaustive computes the exact rank of every candidate by full
-	// scan: the brute-force baseline of [6]'s evaluation.
-	KwExhaustive
-)
+// KwBoundPrune is the paper's optimized algorithm [6]: candidates are
+// enumerated in increasing Δdoc order; each candidate's penalty is first
+// bounded through shallow KcR-tree rank bounds and pruned against the
+// best penalty seen; only survivors pay for an exact rank computation
+// (itself index-pruned). Exact over the candidate space.
+//
+// Deprecated: the only algorithm; removed when benchmark/ is next edited.
+const KwBoundPrune KeywordAlgorithm = 0
 
-// String implements fmt.Stringer.
-func (a KeywordAlgorithm) String() string {
-	switch a {
-	case KwBoundPrune:
-		return "bound-and-prune"
-	case KwExhaustive:
-		return "exhaustive"
-	default:
-		return fmt.Sprintf("KeywordAlgorithm(%d)", int(a))
-	}
-}
+// kwBoundDepth is the KcR-tree depth of the cheap rank bound that prunes
+// candidates before exact evaluation.
+const kwBoundDepth = 2
 
 // KeywordOptions configures AdaptKeywords.
 type KeywordOptions struct {
 	// Lambda is the penalty preference λ ∈ [0, 1] of Eqn 4 between
 	// enlarging k and editing the keyword set.
 	Lambda float64
-	// Algorithm selects the implementation; the zero value is the
-	// paper's bound-and-prune.
+	// Algorithm must be the zero value, KwBoundPrune; any other value
+	// is rejected.
 	Algorithm KeywordAlgorithm
 	// MaxEdits caps the candidate edit distance. Zero means no cap
 	// beyond the penalty floor: candidates with
@@ -55,10 +44,6 @@ type KeywordOptions struct {
 	// MaxEdits explicitly there to bound the exponential candidate
 	// space.
 	MaxEdits int
-	// BoundDepth is the KcR-tree depth of the cheap rank bound used to
-	// prune candidates before exact evaluation (KwBoundPrune only).
-	// Zero means 2.
-	BoundDepth int
 }
 
 // KeywordResult is a keyword-adapted refined query (Definition 3)
@@ -115,7 +100,7 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 	if err := validateLambda(opts.Lambda); err != nil {
 		return KeywordResult{}, err
 	}
-	if opts.Algorithm != KwBoundPrune && opts.Algorithm != KwExhaustive {
+	if opts.Algorithm != KwBoundPrune {
 		return KeywordResult{}, fmt.Errorf("core: unknown keyword algorithm %d", opts.Algorithm)
 	}
 
@@ -129,10 +114,6 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 	maxEdits := universe.Len() + 1  // an edit distance beyond this is impossible
 	if opts.MaxEdits > 0 && opts.MaxEdits < maxEdits {
 		maxEdits = opts.MaxEdits
-	}
-	boundDepth := opts.BoundDepth
-	if boundDepth <= 0 {
-		boundDepth = 2
 	}
 
 	// Start from the trivial refinement: keep q.doc, enlarge k.
@@ -155,15 +136,7 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 		s2 := score.Scorer{Query: q.WithDoc(doc), MaxDist: s.MaxDist}
 		worst := 0
 		for _, m := range objs {
-			var r int
-			if opts.Algorithm == KwExhaustive {
-				r = index.ScanRank(e.coll, s2, m.ID)
-			} else {
-				r = index.RankOf(cc, v.kc, s2, m)
-			}
-			if r > worst {
-				worst = r
-			}
+			worst = max(worst, index.RankOf(cc, v.kc, s2, m))
 		}
 		return worst
 	}
@@ -175,7 +148,7 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 		worstLo := 0
 		for _, m := range objs {
 			refScore := s2.Score(m)
-			lo, _ := v.kc.RankBounds(cc, s2, refScore, m.ID, boundDepth)
+			lo, _ := v.kc.RankBounds(cc, s2, refScore, m.ID, kwBoundDepth)
 			if lo+1 > worstLo {
 				worstLo = lo + 1
 			}
@@ -199,16 +172,10 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 		if docPart >= best.Penalty-1e-15 {
 			return
 		}
-		if opts.Algorithm == KwBoundPrune {
-			// Cheap rank lower bound ⇒ penalty lower bound.
-			loRank := rankLowerBound(doc)
-			loDK := loRank - q.K
-			if loDK < 0 {
-				loDK = 0
-			}
-			if opts.Lambda*float64(loDK)/kNorm+docPart >= best.Penalty-1e-15 {
-				return
-			}
+		// Cheap rank lower bound ⇒ penalty lower bound.
+		loDK := max(rankLowerBound(doc)-q.K, 0)
+		if opts.Lambda*float64(loDK)/kNorm+docPart >= best.Penalty-1e-15 {
+			return
 		}
 		best.CandidatesEvaluated++
 		rankAfter := worstRank(doc)

@@ -86,15 +86,13 @@ func TestAdaptKeywordsRevivesMissing(t *testing.T) {
 	e, ds := testEngine(t, 400, 20)
 	for seed := int64(0); seed < 6; seed++ {
 		q, miss := kwWorkload(t, e, ds, seed, 5, 2, 2)
-		for _, alg := range []KeywordAlgorithm{KwBoundPrune, KwExhaustive} {
-			res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.5, Algorithm: alg})
-			if err != nil {
-				t.Fatalf("seed %d alg %v: %v", seed, alg, err)
-			}
-			assertRevived(t, e, res.Refined, miss)
-			if res.Penalty < 0 || res.Penalty > 1+1e-12 {
-				t.Fatalf("penalty %v out of range", res.Penalty)
-			}
+		res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.5})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		assertRevived(t, e, res.Refined, miss)
+		if res.Penalty < 0 || res.Penalty > 1+1e-12 {
+			t.Fatalf("penalty %v out of range", res.Penalty)
 		}
 	}
 }
@@ -113,53 +111,66 @@ func TestAdaptKeywordsMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		q, miss := kwWorkload(t, e, ds, seed, 3, 2, 1)
 		for _, lambda := range []float64{0.3, 0.5, 0.7} {
-			want := kwOracle(t, e, q, miss, lambda)
-			for _, alg := range []KeywordAlgorithm{KwBoundPrune, KwExhaustive} {
-				got, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: lambda, Algorithm: alg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got.Penalty-want.Penalty) > 1e-12 {
-					t.Fatalf("seed %d λ=%v alg %v: penalty %v, oracle %v (doc %v vs %v)",
-						seed, lambda, alg, got.Penalty, want.Penalty, got.Refined.Doc, want.Refined.Doc)
-				}
-				if got.RankBefore != want.RankBefore {
-					t.Fatalf("rankBefore %d, oracle %d", got.RankBefore, want.RankBefore)
-				}
-			}
+			assertKeywordMatchesOracle(t, e, q, miss, lambda, seed)
 		}
 	}
 }
 
+// TestAdaptKeywordsAlgorithmsAgree checks the bound-and-prune search
+// against brute-force enumeration on a larger engine with the default
+// vocabulary, where pruning skips most candidates.
 func TestAdaptKeywordsAlgorithmsAgree(t *testing.T) {
 	e, ds := testEngine(t, 500, 22)
 	for seed := int64(10); seed < 14; seed++ {
 		q, miss := kwWorkload(t, e, ds, seed, 5, 2, 1)
-		a, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.5, Algorithm: KwBoundPrune})
+		assertKeywordMatchesOracle(t, e, q, miss, 0.5, seed)
+		got, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.5, Algorithm: KwExhaustive})
-		if err != nil {
-			t.Fatal(err)
+		// Optima tied on penalty and Δdoc may differ in R(M, q′) while it
+		// stays within q.k, so check R(M, q′) against Δk, not the oracle.
+		if max(got.RankAfter-q.K, 0) != got.DeltaK {
+			t.Fatalf("seed %d: rankAfter %d inconsistent with Δk %d at k=%d", seed, got.RankAfter, got.DeltaK, q.K)
 		}
-		if math.Abs(a.Penalty-b.Penalty) > 1e-12 {
-			t.Fatalf("seed %d: bound-prune %v vs exhaustive %v", seed, a.Penalty, b.Penalty)
+		assertRevived(t, e, got.Refined, miss)
+		// Pruning must not evaluate more candidates than brute force: the
+		// trivial refinement plus every non-empty subset of the universe.
+		mObjs := make([]object.Object, len(miss))
+		for i, id := range miss {
+			mObjs[i] = e.Collection().Get(id)
 		}
-		if a.DeltaDoc != b.DeltaDoc || a.RankAfter != b.RankAfter {
-			t.Fatalf("seed %d: results differ: %+v vs %+v", seed, a, b)
+		exhaustive := 1 << q.Doc.Union(MissingDocUnion(mObjs)).Len()
+		if got.CandidatesEvaluated > exhaustive {
+			t.Fatalf("seed %d: bound-prune evaluated %d > exhaustive %d", seed, got.CandidatesEvaluated, exhaustive)
 		}
-		// Pruning must not evaluate more candidates than exhaustive.
-		if a.CandidatesEvaluated > b.CandidatesEvaluated {
-			t.Fatalf("bound-prune evaluated %d > exhaustive %d", a.CandidatesEvaluated, b.CandidatesEvaluated)
-		}
+	}
+}
+
+// assertKeywordMatchesOracle checks AdaptKeywords against kwOracle.
+func assertKeywordMatchesOracle(t *testing.T, e *Engine, q score.Query, miss []object.ID, lambda float64, seed int64) {
+	t.Helper()
+	want := kwOracle(t, e, q, miss, lambda)
+	got, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: lambda})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got.Penalty-want.Penalty) > 1e-12 {
+		t.Fatalf("seed %d λ=%v: penalty %v, oracle %v (doc %v vs %v)",
+			seed, lambda, got.Penalty, want.Penalty, got.Refined.Doc, want.Refined.Doc)
+	}
+	if got.RankBefore != want.RankBefore {
+		t.Fatalf("seed %d: rankBefore %d, oracle %d", seed, got.RankBefore, want.RankBefore)
+	}
+	if got.DeltaDoc != want.DeltaDoc || got.DeltaK != want.DeltaK {
+		t.Fatalf("seed %d λ=%v: results differ: %+v vs oracle %+v", seed, lambda, got, want)
 	}
 }
 
 func TestAdaptKeywordsEditAccounting(t *testing.T) {
 	e, ds := testEngine(t, 400, 23)
 	q, miss := kwWorkload(t, e, ds, 30, 5, 3, 2)
-	res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.6, Algorithm: KwBoundPrune})
+	res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +199,7 @@ func TestAdaptKeywordsLambdaZero(t *testing.T) {
 	q, miss := kwWorkload(t, e, ds, 40, 5, 2, 1)
 	// λ = 0: keyword edits carry the whole penalty, so keeping q.doc and
 	// enlarging k is free and optimal.
-	res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0, Algorithm: KwBoundPrune})
+	res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +212,7 @@ func TestAdaptKeywordsLambdaZero(t *testing.T) {
 func TestAdaptKeywordsMaxEditsCap(t *testing.T) {
 	e, ds := testEngine(t, 300, 25)
 	q, miss := kwWorkload(t, e, ds, 50, 5, 2, 1)
-	res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.9, Algorithm: KwBoundPrune, MaxEdits: 1})
+	res, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.9, MaxEdits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +257,7 @@ func TestAdaptKeywordsAddsHelpfulKeyword(t *testing.T) {
 			t.Fatal("hotel 3 unexpectedly in the initial result")
 		}
 	}
-	ref, err := e.AdaptKeywords(q, []object.ID{3}, KeywordOptions{Lambda: 0.5, Algorithm: KwBoundPrune})
+	ref, err := e.AdaptKeywords(q, []object.ID{3}, KeywordOptions{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,12 +337,12 @@ func TestWhyNotUnderDiceModel(t *testing.T) {
 	if len(miss) == 0 {
 		t.Skip("no missing object available")
 	}
-	pref, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: PrefSweep})
+	pref, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertRevived(t, e, pref.Refined, miss)
-	kw, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.5, Algorithm: KwBoundPrune})
+	kw, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,38 +13,17 @@ import (
 	"github.com/yask-engine/yask/internal/vocab"
 )
 
-// PreferenceAlgorithm selects the preference-adjustment implementation.
+// PreferenceAlgorithm names the preference-adjustment implementation.
+// There is one: the paper's indexed sweep, the zero value.
 type PreferenceAlgorithm int
 
-const (
-	// PrefSweepIndexed is the paper's algorithm [5]: the missing
-	// objects' score segments are intersected only with the segments the
-	// index proves can cross them (the "two range queries"), then a
-	// sweep with the rank update theorem finds the minimum-penalty
-	// intersection. Exact.
-	PrefSweepIndexed PreferenceAlgorithm = iota
-	// PrefSweep is the same sweep with the crossing segments found by a
-	// full scan instead of the index. Exact; the baseline that isolates
-	// the index's contribution.
-	PrefSweep
-	// PrefSampling evaluates a fixed grid of candidate weights.
-	// Approximate; the naive baseline of [5]'s evaluation.
-	PrefSampling
-)
-
-// String implements fmt.Stringer.
-func (a PreferenceAlgorithm) String() string {
-	switch a {
-	case PrefSweepIndexed:
-		return "sweep-indexed"
-	case PrefSweep:
-		return "sweep-scan"
-	case PrefSampling:
-		return "sampling"
-	default:
-		return fmt.Sprintf("PreferenceAlgorithm(%d)", int(a))
-	}
-}
+// PrefSweepIndexed is the paper's algorithm [5]: the missing objects'
+// score segments are intersected only with the segments the index
+// proves can cross them (the "two range queries"), then a sweep with
+// the rank update theorem finds the minimum-penalty intersection. Exact.
+//
+// Deprecated: the only algorithm; removed when benchmark/ is next edited.
+const PrefSweepIndexed PreferenceAlgorithm = 0
 
 // PreferenceOptions configures AdjustPreference.
 type PreferenceOptions struct {
@@ -52,11 +31,9 @@ type PreferenceOptions struct {
 	// enlarging k (λ side) and moving w⃗ (1−λ side). DefaultLambda is
 	// the paper's default; the zero value is a legitimate λ = 0.
 	Lambda float64
-	// Algorithm selects the implementation; the zero value is the
-	// paper's indexed sweep.
+	// Algorithm must be the zero value, PrefSweepIndexed; any other
+	// value is rejected.
 	Algorithm PreferenceAlgorithm
-	// Samples is the grid size for PrefSampling (default 64).
-	Samples int
 }
 
 // PreferenceResult is a preference-adjusted refined query (Definition 2)
@@ -149,6 +126,55 @@ type prefEvent struct {
 	wasAbove bool      // other above missing before the crossing
 }
 
+// crossings is the sweep's input: every interior crossing of a
+// competitor's line with a missing object's line, and curAbove[mi], the
+// number of competitors above missing object mi just inside wt = 0.
+type crossings struct {
+	mLines   []scoreLine
+	events   []prefEvent
+	curAbove []int
+}
+
+// add folds one competitor line into missing object mi's events and
+// interval count.
+func (c *crossings) add(mi int, line scoreLine) {
+	ml := c.mLines[mi]
+	above0 := line.aboveNear0(ml)
+	if wt, ok := line.crossing(ml); ok {
+		c.events = append(c.events, prefEvent{wt: wt, mIdx: mi, other: line, wasAbove: above0})
+	}
+	if above0 {
+		c.curAbove[mi]++
+	}
+}
+
+// crossEvents builds the crossings of the missing lines with one
+// KcR-family descent per missing object, pruning subtrees whose score
+// bounds prove every object stays on one side of the missing line over
+// the whole weight interval — the index-based analogue of the paper's
+// two range queries. Missing objects are competitors of each other too,
+// so only m itself is skipped. Sharded views fan the descent across
+// partitions and report back in global ID space.
+func crossEvents(ctx context.Context, kc index.Snapshot, s score.Scorer, mLines []scoreLine) (*crossings, error) {
+	cc := index.CancelOf(ctx)
+	c := &crossings{mLines: mLines, curAbove: make([]int, len(mLines))}
+	for mi, ml := range mLines {
+		kc.ForEachCross(cc, s, ml.v0, ml.v1,
+			func(o object.Object) {
+				if o.ID != ml.id {
+					c.add(mi, lineOf(s, o))
+				}
+			},
+			func(count int) { c.curAbove[mi] += count })
+		if err := ctx.Err(); err != nil {
+			// A truncated descent means missing crossing events: the
+			// sweep would compute wrong ranks, so bail out here.
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // AdjustPreference answers the preference-adjusted why-not query
 // (Definition 2): it returns the refined query (loc, doc, k′, w⃗′) with
 // minimum penalty Eqn 3 whose result contains every missing object.
@@ -173,27 +199,24 @@ func (e *Engine) AdjustPreferenceCtx(ctx context.Context, q score.Query, missing
 	if err := validateLambda(opts.Lambda); err != nil {
 		return PreferenceResult{}, err
 	}
-	// The options join the missing IDs in the cache key: λ, algorithm,
-	// and grid size all change the refined query. Validation above runs
-	// on hits too, so cached and computed paths reject alike.
+	// Checked before the cache lookup: the key does not carry the
+	// algorithm, so an invalid value must not reach a cached answer.
+	if opts.Algorithm != PrefSweepIndexed {
+		return PreferenceResult{}, fmt.Errorf("core: unknown preference algorithm %d", opts.Algorithm)
+	}
+	// λ joins the missing IDs in the cache key: it changes the refined
+	// query. Validation above runs on hits too, so cached and computed
+	// paths reject alike.
 	epoch := v.set.Epoch()
-	extra := make([]uint64, 0, len(missing)+3)
+	extra := make([]uint64, 0, len(missing)+1)
 	for _, id := range missing {
 		extra = append(extra, uint64(id))
 	}
-	extra = append(extra, math.Float64bits(opts.Lambda), uint64(opts.Algorithm), uint64(opts.Samples))
+	extra = append(extra, math.Float64bits(opts.Lambda))
 	if cached, ok := e.cache.GetValue(epoch, qcache.KindPreference, q, extra); ok {
 		return copyPreferenceResult(cached.(PreferenceResult)), nil
 	}
-	var res PreferenceResult
-	switch opts.Algorithm {
-	case PrefSweep, PrefSweepIndexed:
-		res, err = e.adjustBySweep(ctx, v, s, objs, rankBefore, opts)
-	case PrefSampling:
-		res, err = e.adjustBySampling(ctx, v, s, objs, rankBefore, opts)
-	default:
-		return PreferenceResult{}, fmt.Errorf("core: unknown preference algorithm %d", opts.Algorithm)
-	}
+	res, err := adjustBySweep(ctx, v.kc, s, objs, rankBefore, opts.Lambda)
 	if err != nil {
 		return PreferenceResult{}, err
 	}
@@ -238,86 +261,24 @@ const crossingNudge = 1e-9
 // maintaining each missing object's rank incrementally (the rank update
 // theorem), and evaluate penalty Eqn 3 at every intersection, nudged one
 // epsilon past the crossing away from the initial weight.
-func (e *Engine) adjustBySweep(ctx context.Context, v engineView, s score.Scorer, objs []object.Object, rankBefore int, opts PreferenceOptions) (PreferenceResult, error) {
-	cc := index.CancelOf(ctx)
+func adjustBySweep(ctx context.Context, kc index.Snapshot, s score.Scorer, objs []object.Object, rankBefore int, lambda float64) (PreferenceResult, error) {
 	q := s.Query
 	mLines := make([]scoreLine, len(objs))
 	for i, o := range objs {
 		mLines[i] = lineOf(s, o)
 	}
-
-	var events []prefEvent
-	curAbove := make([]int, len(objs)) // objects above m in the current interval
-
-	// addLine folds one competitor line into missing object mi's event
-	// list and interval count.
-	addLine := func(mi int, line scoreLine) {
-		ml := mLines[mi]
-		above0 := line.aboveNear0(ml)
-		if wt, ok := line.crossing(ml); ok {
-			events = append(events, prefEvent{wt: wt, mIdx: mi, other: line, wasAbove: above0})
-			if above0 {
-				curAbove[mi]++
-			}
-		} else if above0 {
-			curAbove[mi]++ // above on the whole interval
-		}
+	c, err := crossEvents(ctx, kc, s, mLines)
+	if err != nil {
+		return PreferenceResult{}, err
 	}
-
-	if opts.Algorithm == PrefSweep {
-		// Missing objects are competitors of each other too, so no
-		// object other than m itself is skipped. Score each object once
-		// and fold its line into every missing object's events.
-		countdown := index.CheckInterval
-		for _, o := range e.coll.All() {
-			if countdown--; countdown <= 0 {
-				if err := ctx.Err(); err != nil {
-					return PreferenceResult{}, err
-				}
-				countdown = index.CheckInterval
-			}
-			if !e.coll.Alive(o.ID) {
-				continue
-			}
-			line := lineOf(s, o)
-			for mi, ml := range mLines {
-				if o.ID == ml.id {
-					continue
-				}
-				addLine(mi, line)
-			}
-		}
-	} else {
-		// Indexed event construction: one KcR-family descent per missing
-		// object, pruning subtrees whose score bounds prove every object
-		// stays on one side of the missing line over the whole weight
-		// interval — the index-based analogue of the paper's two range
-		// queries. Sharded views fan the descent across partitions and
-		// report back in global ID space.
-		for mi, ml := range mLines {
-			mi, ml := mi, ml
-			v.kc.ForEachCross(cc, s, ml.v0, ml.v1,
-				func(o object.Object) {
-					if o.ID == ml.id {
-						return
-					}
-					addLine(mi, lineOf(s, o))
-				},
-				func(count int) { curAbove[mi] += count })
-			if err := ctx.Err(); err != nil {
-				// A truncated descent means missing crossing events: the
-				// sweep below would compute wrong ranks, so bail out here.
-				return PreferenceResult{}, err
-			}
-		}
-	}
+	events, curAbove := c.events, c.curAbove // curAbove: objects above m in the current interval
 
 	sort.Slice(events, func(i, j int) bool { return events[i].wt < events[j].wt })
 
 	// Candidate 0: keep w⃗, only enlarge k. Penalty λ·1 + (1−λ)·0 = λ.
 	best := PreferenceResult{
 		Refined:    q.WithWeights(q.W),
-		Penalty:    opts.Lambda,
+		Penalty:    lambda,
 		DeltaK:     rankBefore - q.K,
 		DeltaW:     0,
 		RankBefore: rankBefore,
@@ -327,7 +288,7 @@ func (e *Engine) adjustBySweep(ctx context.Context, v engineView, s score.Scorer
 	best.Refined.K = rankBefore
 
 	update := func(wt float64, rankAfter int) {
-		pen, dk, dw := prefPenalty(q, opts.Lambda, rankBefore, rankAfter, wt)
+		pen, dk, dw := prefPenalty(q, lambda, rankBefore, rankAfter, wt)
 		better := pen < best.Penalty-1e-15 ||
 			(math.Abs(pen-best.Penalty) <= 1e-15 && dw < best.DeltaW)
 		if better {
@@ -401,52 +362,4 @@ func (e *Engine) adjustBySweep(ctx context.Context, v engineView, s score.Scorer
 
 func min2(a, b, c float64) float64 {
 	return math.Min(a, math.Min(b, c))
-}
-
-// adjustBySampling evaluates a uniform grid of wt values, computing
-// R(M, q′) through the SetR-family rank primitive. Approximate: the best
-// grid point's penalty upper-bounds the optimum.
-func (e *Engine) adjustBySampling(ctx context.Context, v engineView, s score.Scorer, objs []object.Object, rankBefore int, opts PreferenceOptions) (PreferenceResult, error) {
-	cc := index.CancelOf(ctx)
-	q := s.Query
-	samples := opts.Samples
-	if samples <= 0 {
-		samples = 64
-	}
-	best := PreferenceResult{
-		Refined:    q,
-		Penalty:    opts.Lambda,
-		DeltaK:     rankBefore - q.K,
-		RankBefore: rankBefore,
-		RankAfter:  rankBefore,
-		Candidates: 1,
-	}
-	best.Refined.K = rankBefore
-	for i := 1; i <= samples; i++ {
-		wt := float64(i) / float64(samples+1)
-		s2 := score.Scorer{Query: q.WithWeights(score.WeightsFromWt(wt)), MaxDist: s.MaxDist}
-		worst := 0
-		for _, o := range objs {
-			if r := index.RankOf(cc, v.set, s2, o); r > worst {
-				worst = r
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return PreferenceResult{}, err
-		}
-		pen, dk, dw := prefPenalty(q, opts.Lambda, rankBefore, worst, wt)
-		best.Candidates++
-		if pen < best.Penalty-1e-15 || (math.Abs(pen-best.Penalty) <= 1e-15 && dw < best.DeltaW) {
-			refined := q.WithWeights(score.WeightsFromWt(wt))
-			if worst > q.K {
-				refined.K = worst
-			}
-			best = PreferenceResult{
-				Refined: refined, Penalty: pen, DeltaK: dk, DeltaW: dw,
-				RankBefore: rankBefore, RankAfter: worst,
-				Candidates: best.Candidates,
-			}
-		}
-	}
-	return best, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/yask-engine/yask/internal/dataset"
@@ -106,18 +108,16 @@ func TestAdjustPreferenceRevivesMissing(t *testing.T) {
 	e, ds := testEngine(t, 400, 10)
 	for seed := int64(0); seed < 8; seed++ {
 		q, miss := prefWorkload(t, e, ds, seed, 5, 2, 2)
-		for _, alg := range []PreferenceAlgorithm{PrefSweepIndexed, PrefSweep, PrefSampling} {
-			res, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: alg})
-			if err != nil {
-				t.Fatalf("seed %d alg %v: %v", seed, alg, err)
-			}
-			assertRevived(t, e, res.Refined, miss)
-			if res.RankBefore <= q.K {
-				t.Fatal("rank before must exceed k")
-			}
-			if res.Penalty < 0 || res.Penalty > 1+1e-12 {
-				t.Fatalf("penalty %v out of range", res.Penalty)
-			}
+		res, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		assertRevived(t, e, res.Refined, miss)
+		if res.RankBefore <= q.K {
+			t.Fatal("rank before must exceed k")
+		}
+		if res.Penalty < 0 || res.Penalty > 1+1e-12 {
+			t.Fatalf("penalty %v out of range", res.Penalty)
 		}
 	}
 }
@@ -127,71 +127,109 @@ func TestAdjustPreferenceSweepMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		q, miss := prefWorkload(t, e, ds, seed, 4, 2, 1+int(seed)%3)
 		for _, lambda := range []float64{0.2, 0.5, 0.8} {
-			want := prefOracle(e, q, miss, lambda)
-			for _, alg := range []PreferenceAlgorithm{PrefSweep, PrefSweepIndexed} {
-				got, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: lambda, Algorithm: alg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got.Penalty-want.Penalty) > 1e-6 {
-					t.Fatalf("seed %d λ=%v alg %v: penalty %v, oracle %v (wt %v vs %v)",
-						seed, lambda, alg, got.Penalty, want.Penalty, got.Refined.W, want.Refined.W)
-				}
-				if got.RankBefore != want.RankBefore {
-					t.Fatalf("rankBefore %d, oracle %d", got.RankBefore, want.RankBefore)
-				}
+			assertPreferenceMatchesOracle(t, e, q, miss, lambda, seed)
+		}
+	}
+	// A larger engine with three-keyword queries and two missing objects.
+	e, ds = testEngine(t, 600, 12)
+	for seed := int64(20); seed < 26; seed++ {
+		q, miss := prefWorkload(t, e, ds, seed, 5, 3, 2)
+		assertPreferenceMatchesOracle(t, e, q, miss, 0.5, seed)
+	}
+}
+
+// assertPreferenceMatchesOracle checks AdjustPreference against
+// prefOracle.
+func assertPreferenceMatchesOracle(t *testing.T, e *Engine, q score.Query, miss []object.ID, lambda float64, seed int64) {
+	t.Helper()
+	want := prefOracle(e, q, miss, lambda)
+	got, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: lambda})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got.Penalty-want.Penalty) > 1e-6 {
+		t.Fatalf("seed %d λ=%v: penalty %v, oracle %v (wt %v vs %v)",
+			seed, lambda, got.Penalty, want.Penalty, got.Refined.W, want.Refined.W)
+	}
+	if got.RankBefore != want.RankBefore {
+		t.Fatalf("seed %d: rankBefore %d, oracle %d", seed, got.RankBefore, want.RankBefore)
+	}
+}
+
+// scanCrossEvents is the full-scan reference for crossEvents: it scores
+// every live object of the collection and folds its line into every
+// missing object's crossings, with no index pruning.
+func scanCrossEvents(c *object.Collection, s score.Scorer, mLines []scoreLine) *crossings {
+	cs := &crossings{mLines: mLines, curAbove: make([]int, len(mLines))}
+	for _, o := range c.All() {
+		if !c.Alive(o.ID) {
+			continue
+		}
+		line := lineOf(s, o)
+		for mi, ml := range mLines {
+			if o.ID != ml.id {
+				cs.add(mi, line)
 			}
 		}
 	}
+	return cs
 }
 
+// TestAdjustPreferenceSweepVariantsAgree: the indexed crossing descent
+// finds exactly the crossings a full scan finds — the same events as a
+// multiset of (missing index, other ID) and the same starting counts of
+// objects above each missing object — single and sharded.
 func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
-	e, ds := testEngine(t, 600, 12)
-	for seed := int64(20); seed < 26; seed++ {
-		q, miss := prefWorkload(t, e, ds, seed, 5, 3, 2)
-		a, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: PrefSweep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: PrefSweepIndexed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(a.Penalty-b.Penalty) > 1e-12 {
-			t.Fatalf("seed %d: scan %v vs indexed %v", seed, a.Penalty, b.Penalty)
-		}
-		if a.Refined.W != b.Refined.W || a.RankAfter != b.RankAfter {
-			t.Fatalf("seed %d: refined differ: %+v vs %+v", seed, a, b)
-		}
-		if a.Candidates != b.Candidates {
-			t.Fatalf("seed %d: candidate counts differ: %d vs %d", seed, a.Candidates, b.Candidates)
-		}
+	type cross struct {
+		mIdx  int
+		other object.ID
 	}
-}
-
-func TestAdjustPreferenceSamplingNeverBeatsExact(t *testing.T) {
-	e, ds := testEngine(t, 300, 13)
-	for seed := int64(30); seed < 36; seed++ {
-		q, miss := prefWorkload(t, e, ds, seed, 5, 2, 1)
-		exact, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: PrefSweep})
-		if err != nil {
-			t.Fatal(err)
+	multiset := func(cs *crossings) map[cross]int {
+		m := map[cross]int{}
+		for _, ev := range cs.events {
+			m[cross{ev.mIdx, ev.other.id}]++
 		}
-		approx, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: PrefSampling, Samples: 32})
-		if err != nil {
-			t.Fatal(err)
+		return m
+	}
+	ds, err := dataset.Generate(dataset.DefaultConfig(600, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		e := NewEngine(ds.Objects, Options{MaxEntries: 8, Shards: shards})
+		for seed := int64(20); seed < 32; seed++ {
+			q, miss := prefWorkload(t, e, ds, seed, 5, 1+int(seed)%3, 1+int(seed)%3)
+			v, err := e.acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := setScorer(v.set, q)
+			mLines := make([]scoreLine, len(miss))
+			for i, id := range miss {
+				mLines[i] = lineOf(s, e.Collection().Get(id))
+			}
+			got, err := crossEvents(context.Background(), v.kc, s, mLines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := scanCrossEvents(e.Collection(), s, mLines)
+			if len(want.events) == 0 {
+				t.Fatalf("shards=%d seed %d: no crossings, the comparison proves nothing", shards, seed)
+			}
+			if !reflect.DeepEqual(multiset(got), multiset(want)) {
+				t.Fatalf("shards=%d seed %d: indexed events %v, scan %v", shards, seed, multiset(got), multiset(want))
+			}
+			if !reflect.DeepEqual(got.curAbove, want.curAbove) {
+				t.Fatalf("shards=%d seed %d: curAbove %v, scan %v", shards, seed, got.curAbove, want.curAbove)
+			}
 		}
-		if approx.Penalty < exact.Penalty-1e-6 {
-			t.Fatalf("seed %d: sampling %v beat exact %v", seed, approx.Penalty, exact.Penalty)
-		}
-		assertRevived(t, e, approx.Refined, miss)
 	}
 }
 
 func TestAdjustPreferencePenaltyDecomposition(t *testing.T) {
 	e, ds := testEngine(t, 300, 14)
 	q, miss := prefWorkload(t, e, ds, 40, 5, 2, 2)
-	res, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.3, Algorithm: PrefSweep})
+	res, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +258,7 @@ func TestAdjustPreferenceLambdaExtremes(t *testing.T) {
 	q, miss := prefWorkload(t, e, ds, 50, 5, 2, 1)
 	// λ = 0: only weight movement is penalized; keeping w⃗ and enlarging
 	// k costs 0, so that must be the optimum.
-	res0, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0, Algorithm: PrefSweep})
+	res0, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +268,7 @@ func TestAdjustPreferenceLambdaExtremes(t *testing.T) {
 	assertRevived(t, e, res0.Refined, miss)
 	// λ = 1: only Δk is penalized; the optimum minimizes the refined
 	// rank regardless of weight movement.
-	res1, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 1, Algorithm: PrefSweep})
+	res1, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +283,11 @@ func TestAdjustPreferenceInvalidInputs(t *testing.T) {
 	q, miss := prefWorkload(t, e, ds, 60, 3, 2, 1)
 	if _, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: -1}); err == nil {
 		t.Error("negative lambda accepted")
+	}
+	// The cache key does not carry the algorithm: with the valid
+	// question's answer cached, an unknown algorithm must still fail.
+	if _, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: 0.5, Algorithm: PreferenceAlgorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")

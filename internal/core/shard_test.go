@@ -90,17 +90,15 @@ func assertEquivalent(t *testing.T, ctx string, single, sharded *Engine, qs []sc
 			}
 		}
 
-		for _, alg := range []PreferenceAlgorithm{PrefSweepIndexed, PrefSweep} {
-			wantP, err1 := single.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5, Algorithm: alg})
-			gotP, err2 := sharded.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5, Algorithm: alg})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s q%d %v: errs %v / %v", ctx, qi, alg, err1, err2)
-			}
-			if gotP.Refined.W != wantP.Refined.W || gotP.Refined.K != wantP.Refined.K ||
-				gotP.Penalty != wantP.Penalty || gotP.DeltaK != wantP.DeltaK ||
-				gotP.RankBefore != wantP.RankBefore || gotP.RankAfter != wantP.RankAfter {
-				t.Fatalf("%s q%d %v: preference diverges:\n got %+v\nwant %+v", ctx, qi, alg, gotP, wantP)
-			}
+		wantP, err1 := single.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
+		gotP, err2 := sharded.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s q%d: preference errs %v / %v", ctx, qi, err1, err2)
+		}
+		if gotP.Refined.W != wantP.Refined.W || gotP.Refined.K != wantP.Refined.K ||
+			gotP.Penalty != wantP.Penalty || gotP.DeltaK != wantP.DeltaK ||
+			gotP.RankBefore != wantP.RankBefore || gotP.RankAfter != wantP.RankAfter {
+			t.Fatalf("%s q%d: preference diverges:\n got %+v\nwant %+v", ctx, qi, gotP, wantP)
 		}
 
 		wantK, err1 := single.AdaptKeywords(q, missing[:1], KeywordOptions{Lambda: 0.5})

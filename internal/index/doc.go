@@ -1,6 +1,5 @@
 // Package index defines the contract every YASK index family — the
-// SetR-tree, the KcR-tree, and the IR-tree baseline — exposes to the
-// engine layers above it: a Provider owning the build/mutate/refresh
+// SetR-tree and the KcR-tree — exposes to the engine layers above it: a Provider owning the build/mutate/refresh
 // lifecycle and a Snapshot carrying the arena-scoped query primitives.
 //
 // The contract is what makes the engine composable: internal/core

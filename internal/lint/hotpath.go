@@ -1,8 +1,9 @@
 // The hotpath analyzer: functions annotated //yask:hotpath are warm
-// query paths that must not allocate per operation. The benchmarks
-// (TestTopKAllocationGuard, the bench-smoke CI gate) prove the dynamic
-// property after the fact; this analyzer makes the usual ways of
-// breaking it a build failure, at the construct level:
+// query paths that must not allocate per operation. The
+// TestTopKAllocationGuard tests of internal/settree and internal/core
+// assert the dynamic property (0 allocs/op) after the fact; this
+// analyzer makes the usual ways of breaking it a build failure, at the
+// construct level:
 //
 //   - make / new / slice, map and escaping composite literals
 //   - growing append

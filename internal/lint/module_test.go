@@ -67,7 +67,6 @@ func TestAnnotationsMeta(t *testing.T) {
 		testModule + "/internal/settree.Arena.TopK",
 		testModule + "/internal/settree.Arena.CountBetter",
 		testModule + "/internal/kcrtree.Arena.RankBounds",
-		testModule + "/internal/irtree.Arena.TopK",
 		testModule + "/internal/score.Scorer.Score",
 	}
 	for _, key := range anchors {

@@ -4,7 +4,7 @@
 //
 //   - internal/core (and any future query-routing package listed in
 //     snapshotRestricted) may not import the concrete family packages
-//     (settree, irtree, kcrtree, rtree) except in the files allowlisted
+//     (settree, kcrtree, rtree) except in the files allowlisted
 //     for construction, and may never type-assert an interface down to
 //     a concrete family type;
 //   - rtree.Tree mutators (Insert, Delete) may only be called from the
@@ -42,7 +42,6 @@ var snapshotRestricted = []string{
 // relative).
 var snapshotFamilies = []string{
 	"/internal/settree",
-	"/internal/irtree",
 	"/internal/kcrtree",
 	"/internal/rtree",
 }

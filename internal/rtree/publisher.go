@@ -22,9 +22,8 @@ func NextEpoch() uint64 { return epochCounter.Add(1) }
 // pubState is one published epoch: the tree, its frozen arena, and the
 // index-specific payload (the arena-scoped query wrapper of the index
 // package owning the publisher) frozen together. Swapping all three
-// behind one pointer is what lets rebuild-style indexes like the
-// IR-tree — whose refresh replaces the tree itself — share this
-// lifecycle with re-freeze-style indexes.
+// behind one pointer means a reader never pairs one epoch's tree with
+// another epoch's arena.
 type pubState[L, A any] struct {
 	tree    *Tree[L, A]
 	flat    *Flat[L, A]
@@ -37,14 +36,13 @@ type pubState[L, A any] struct {
 // generations were produced by its own (managed) mutation path. Index
 // packages embed one publisher each so the lifecycle protocol —
 // including the subtle settle-under-lock check — lives in exactly one
-// place, for all three index families.
+// place, for both index families.
 //
 // Contract: queries acquire the arena via Snapshot, which fails with a
 // *StaleSnapshotError once the tree has been mutated outside Insert/
-// Remove/Refresh/Publish. Managed mutations leave the published
-// snapshot serving (complete and consistent, minus the buffered
-// changes) until Refresh re-freezes off the query path and swaps
-// atomically, or Publish swaps in a whole rebuilt epoch.
+// Remove/Refresh. Managed mutations leave the published snapshot
+// serving (complete and consistent, minus the buffered changes) until
+// Refresh re-freezes off the query path and swaps atomically.
 type SnapshotPublisher[L, A any] struct {
 	st atomic.Pointer[pubState[L, A]]
 	// mu serializes mutations and refreshes; queries never take it.
@@ -65,8 +63,7 @@ type SnapshotPublisher[L, A any] struct {
 
 // NewSnapshotPublisher freezes the tree's current content and returns a
 // publisher serving it. wrap, if non-nil, is called with every arena
-// the publisher freezes — at construction, on Refresh, and on Publish —
-// and its result is published atomically with the arena; index packages
+// the publisher freezes — at construction and on Refresh — and its result is published atomically with the arena; index packages
 // use it to attach their arena-scoped query wrappers.
 func NewSnapshotPublisher[L, A any](t *Tree[L, A], wrap func(*Flat[L, A]) any) *SnapshotPublisher[L, A] {
 	p := &SnapshotPublisher[L, A]{wrap: wrap}
@@ -193,20 +190,6 @@ func (p *SnapshotPublisher[L, A]) Refresh() {
 		// Still serving a mapped arena: no mutations have happened, so
 		// there is nothing newer to freeze.
 		return
-	}
-	p.publishLocked(t)
-}
-
-// Publish replaces the whole epoch with a freshly built tree — the
-// refresh style of corpus-dependent indexes (the IR-tree rebuilds its
-// text model and tree together). wrap, if non-nil, replaces the
-// publisher's payload builder from this epoch on; the previous tree and
-// any direct mutations to it are discarded.
-func (p *SnapshotPublisher[L, A]) Publish(t *Tree[L, A], wrap func(*Flat[L, A]) any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if wrap != nil {
-		p.wrap = wrap
 	}
 	p.publishLocked(t)
 }

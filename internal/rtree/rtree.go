@@ -7,9 +7,8 @@
 // An Augmenter folds leaf items into a per-node summary A that is
 // maintained through inserts, deletes, splits, and bulk loads. The
 // SetR-tree stores the intersection and union of the keyword sets below a
-// node, the KcR-tree stores a keyword→count map plus an object count
-// (Fig. 2 of the paper), and the IR-tree stores a per-node inverted file.
-// Each of those indexes is this tree with a different Augmenter plus its
+// node, and the KcR-tree stores a keyword→count map plus an object count
+// (Fig. 2 of the paper). Each of those indexes is this tree with a different Augmenter plus its
 // own query algorithms over the exposed node structure.
 //
 // The tree is safe for concurrent readers once construction and mutation

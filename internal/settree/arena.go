@@ -54,7 +54,7 @@ func (c codec) DecodeItems(blob []byte, n int) ([]rtree.LeafEntry[object.Object]
 	return decodeObjectItems(c.coll, blob, n)
 }
 
-// decodeObjectItems is the shared object-ID item decoder of all three
+// decodeObjectItems is the shared object-ID item decoder of both
 // families (they index the same objects).
 func decodeObjectItems(coll *object.Collection, blob []byte, n int) ([]rtree.LeafEntry[object.Object], error) {
 	bad := func(format string, args ...any) error {

@@ -131,27 +131,6 @@ func TestArenaThawOnMutation(t *testing.T) {
 	}
 }
 
-// TestArenaWarmTopKZeroAllocs: the acceptance gate — a warm top-k on
-// the mapped file-backed columns must not allocate at all.
-func TestArenaWarmTopKZeroAllocs(t *testing.T) {
-	ds := testDataset(t, 400, 75)
-	qs := testQueries(ds, 16, 76, 10, 2)
-	loaded := saveLoadArena(t, Build(ds.Objects, 16), ds, 16)
-
-	var buf []score.Result
-	for _, q := range qs { // warm the scratch pool
-		buf, _ = loaded.TopKAppend(q, buf[:0])
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, q := range qs {
-			buf, _ = loaded.TopKAppend(q, buf[:0])
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm TopK on mapped arena allocated %.2f times per batch, want 0", allocs)
-	}
-}
-
 // TestArenaFaultEveryByteFamily extends the rtree-level exhaustive
 // fault test through the settree codec: a bit flip at EVERY byte of the
 // file either surfaces wal.ErrCorrupt or leaves the query surface

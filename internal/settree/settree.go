@@ -73,22 +73,9 @@ func (augmenter) Merge(a, b Aug) Aug {
 	return out
 }
 
-// BoundMode selects the Jaccard bound the index prunes with; it exists
-// for the ablation study of the doc-length tightening (experiment e8).
-type BoundMode int
-
-const (
-	// BoundFull uses intersection/union sets plus document-length
-	// range — the production bound.
-	BoundFull BoundMode = iota
-	// BoundBasic uses only |q ∩ Union| / |q ∪ Inter|, the textbook
-	// SetR-tree bound. Sound but much looser near the root.
-	BoundBasic
-)
-
 // Index is a SetR-tree over a collection of objects. Queries traverse an
 // immutable Arena snapshot published through an atomic pointer, so they
-// are safe for concurrent use with the mutation path (SetBoundMode must
+// are safe for concurrent use with the mutation path (SetSignatures must
 // still be called before sharing).
 //
 // Snapshot lifecycle: Insert and Remove mutate the underlying tree and
@@ -99,9 +86,8 @@ const (
 // with rtree.ErrStaleSnapshot until Refresh is called: stale answers are
 // an error, never a silent wrong result.
 type Index struct {
-	pub   *rtree.SnapshotPublisher[object.Object, Aug]
-	coll  *object.Collection
-	bound BoundMode
+	pub  *rtree.SnapshotPublisher[object.Object, Aug]
+	coll *object.Collection
 	// sigs enables the keyword-signature pruning layer (default on):
 	// traversals probe the arena's per-node/per-entry signature bitmaps
 	// for a constant-time intersection upper bound before running the
@@ -154,16 +140,13 @@ func (ix *Index) putScratch(sc *searchScratch) {
 	ix.scratch.Put(sc) //yask:allocok(sync.Pool put does not allocate; the interface box is the pooled pointer)
 }
 
-// SetBoundMode switches the pruning bound; the default is BoundFull.
-func (ix *Index) SetBoundMode(m BoundMode) { ix.bound = m }
-
 // SetSignatures toggles the keyword-signature pruning layer (default
 // on). Disabling it forces every traversal onto the exact merge-walk
 // bounds — the ablation/off switch of the e12 bench and the
 // equivalence suite; results are byte-identical either way. Future
 // freezes also stop materializing the signature columns (arenas
-// already published keep theirs, unused). Like SetBoundMode it must be
-// called before the index is shared.
+// already published keep theirs, unused). It must be called before the
+// index is shared.
 func (ix *Index) SetSignatures(on bool) {
 	ix.sigs = on
 	if t := ix.pub.Tree(); t != nil {
@@ -173,13 +156,6 @@ func (ix *Index) SetSignatures(on bool) {
 
 // Signatures reports whether the signature pruning layer is enabled.
 func (ix *Index) Signatures() bool { return ix.sigs }
-
-// sigEnabled reports whether query traversals may probe signatures:
-// the layer is on and the production bound mode is active (the
-// BoundBasic ablation measures the textbook bound alone).
-//
-//yask:hotpath
-func (ix *Index) sigEnabled() bool { return ix.sigs && ix.bound == BoundFull }
 
 // Build bulk-loads a SetR-tree over the live objects of the collection
 // with the given node fanout (use rtree.DefaultMaxEntries when in doubt).
@@ -382,7 +358,7 @@ func quickTSimHi(a *Aug, s *score.Scorer, qs *vocab.QuerySig, nsig *vocab.Signat
 // the signature-free traversal.
 //
 //yask:hotpath
-func (ix *Index) boundAt(f *rtree.Flat[object.Object, Aug], s score.Scorer, qs *vocab.QuerySig, useSig bool, n int32, limit float64, ctr *index.SigCounters) float64 {
+func boundAt(f *rtree.Flat[object.Object, Aug], s score.Scorer, qs *vocab.QuerySig, useSig bool, n int32, limit float64, ctr *index.SigCounters) float64 {
 	w := s.Query.W
 	spatial := w.Ws * (1 - s.SDistRectMin(f.Rect(n)))
 	a := f.Aug(n)
@@ -400,38 +376,7 @@ func (ix *Index) boundAt(f *rtree.Flat[object.Object, Aug], s score.Scorer, qs *
 		}
 	}
 	ctr.Exact++
-	var tUB float64
-	if ix.bound == BoundBasic {
-		tUB = TSimUpperBoundBasic(*a, s.Query.Doc)
-	} else {
-		tUB = TSimUpperBound(*a, s.Query.Doc, s.Query.Sim)
-	}
-	return spatial + w.Wt*tUB
-}
-
-// TSimUpperBoundBasic is the textbook SetR-tree Jaccard bound
-// |q ∩ Union| / |q ∪ Inter| without the doc-length tightening. Exported
-// for the ablation bench; production code uses TSimUpperBound.
-//
-//yask:hotpath
-func TSimUpperBoundBasic(a Aug, qdoc vocab.KeywordSet) float64 {
-	if len(qdoc) == 0 {
-		return 0
-	}
-	num := 0
-	for _, kw := range qdoc {
-		if a.Union.Contains(kw) {
-			num++
-		}
-	}
-	if num == 0 {
-		return 0
-	}
-	den := a.Inter.UnionLen(qdoc)
-	if den < num {
-		den = num
-	}
-	return float64(num) / float64(den)
+	return spatial + w.Wt*TSimUpperBound(*a, s.Query.Doc, s.Query.Sim)
 }
 
 // Flat exposes the underlying frozen arena for structural tests.
@@ -483,10 +428,10 @@ func (a *Arena) TopK(cc index.Cancel, s score.Scorer, k int, shared *index.Bound
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigEnabled(), s.Query.Doc)
+	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	dst = index.BestFirstTopK(f, cc, k, shared, sc.nodes, sc.cand,
 		func(n int32, limit float64) float64 {
-			return ix.boundAt(f, s, &qs, useSig, n, limit, &sc.ctr)
+			return boundAt(f, s, &qs, useSig, n, limit, &sc.ctr)
 		},
 		func(ei int32, e *rtree.LeafEntry[object.Object], limit float64) (float64, bool) {
 			return index.ScoreEntryCounted(&s, e, esigs, ei, &qs, limit, &sc.ctr)
@@ -508,7 +453,7 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigEnabled(), s.Query.Doc)
+	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	entries := f.AllEntries()
 	count := 0
 	sc.stack = index.PrunedDFS(f, cc, sc.stack,
@@ -529,7 +474,7 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 		// cheaply, so only strict inequality prunes) contributes
 		// nothing.
 		func(c int32) bool {
-			return ix.boundAt(f, s, &qs, useSig, c, refScore, &sc.ctr) >= refScore
+			return boundAt(f, s, &qs, useSig, c, refScore, &sc.ctr) >= refScore
 		})
 	sc.ctr.Flush(f.Stats())
 	return count
@@ -567,7 +512,7 @@ func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, vi
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, _, useSig := index.PrepareSig(f, ix.sigEnabled(), s.Query.Doc)
+	qs, _, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	sc.stack = index.PrunedDFS(f, cc, sc.stack,
 		func(n int32) {
 			for _, e := range f.Entries(n) {
@@ -599,13 +544,7 @@ func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, vi
 				}
 			}
 			sc.ctr.Exact++
-			var tHi float64
-			if ix.bound == BoundBasic {
-				tHi = TSimUpperBoundBasic(*aug, s.Query.Doc)
-			} else {
-				tHi = TSimUpperBound(*aug, s.Query.Doc, s.Query.Sim)
-			}
-			return !(tHi < m1)
+			return !(TSimUpperBound(*aug, s.Query.Doc, s.Query.Sim) < m1)
 		})
 	sc.ctr.Flush(f.Stats())
 }

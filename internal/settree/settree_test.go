@@ -354,36 +354,3 @@ func TestDiceAndJaccardDisagree(t *testing.T) {
 		t.Fatal("Dice and Jaccard produced identical rankings on every query")
 	}
 }
-
-// TestBasicBoundSoundAndCorrect: the ablation bound must still be sound
-// (top-k identical) while touching at least as many nodes.
-func TestBasicBoundSoundAndCorrect(t *testing.T) {
-	ds := testDataset(t, 2000, 50)
-	full := Build(ds.Objects, 32)
-	basic := Build(ds.Objects, 32)
-	basic.SetBoundMode(BoundBasic)
-	for _, q := range testQueries(ds, 15, 51, 10, 2) {
-		fullRes, _ := full.TopK(q)
-		a := score.ResultIDs(fullRes)
-		basicRes, _ := basic.TopK(q)
-		b := score.ResultIDs(basicRes)
-		if len(a) != len(b) {
-			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("rank %d: full %d, basic %d", i, a[i], b[i])
-			}
-		}
-	}
-	full.Stats().Reset()
-	basic.Stats().Reset()
-	for _, q := range testQueries(ds, 15, 51, 10, 2) {
-		full.TopK(q)
-		basic.TopK(q)
-	}
-	if basic.Stats().NodeAccesses() < full.Stats().NodeAccesses() {
-		t.Fatalf("basic bound touched fewer nodes (%d) than full (%d)",
-			basic.Stats().NodeAccesses(), full.Stats().NodeAccesses())
-	}
-}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/yask-engine/yask/internal/dataset"
 	"github.com/yask-engine/yask/internal/index"
-	"github.com/yask-engine/yask/internal/irtree"
 	"github.com/yask-engine/yask/internal/kcrtree"
 	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/score"
@@ -124,13 +123,11 @@ func TestMapAppendRouting(t *testing.T) {
 func TestViewTopKEquivalence(t *testing.T) {
 	ds := testDataset(t, 800, 4)
 	qs := testQueries(ds, 12, 5, 10, 2)
-	// All three families, including the IR-tree's contract-exact (if
-	// text-blind) implementation — the conformance proof that sharding
-	// is genuinely family-generic.
+	// Both families — the conformance proof that sharding is genuinely
+	// family-generic.
 	builders := map[string]index.Builder{
 		"settree": settree.Builder(16),
 		"kcrtree": kcrtree.Builder(16),
-		"irtree":  irtree.Builder(16),
 	}
 	for name, build := range builders {
 		single := build(ds.Objects)
@@ -172,7 +169,6 @@ func TestViewRankEquivalence(t *testing.T) {
 	builders := map[string]index.Builder{
 		"settree": settree.Builder(16),
 		"kcrtree": kcrtree.Builder(16),
-		"irtree":  irtree.Builder(16),
 	}
 	for name, build := range builders {
 		single := build(ds.Objects)

@@ -722,10 +722,7 @@ func (e *Engine) WhyNotKeywordsBatch(jobs []WhyNotKeywordsJob, opts RefineOption
 			run = append(run, coreJobs[i])
 		}
 	}
-	results, runErrs := e.core.AdaptKeywordsBatch(run, core.KeywordOptions{
-		Lambda:    opts.lambda(),
-		Algorithm: core.KwBoundPrune,
-	}, core.BatchOptions{Workers: workers})
+	results, runErrs := e.core.AdaptKeywordsBatch(run, core.KeywordOptions{Lambda: opts.lambda()}, core.BatchOptions{Workers: workers})
 	out := make([]*KeywordRefinement, len(jobs))
 	for n, i := range idx {
 		if runErrs[n] != nil {
@@ -798,10 +795,7 @@ func (e *Engine) WhyNotPreferenceCtx(ctx context.Context, q Query, missing []Obj
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.core.AdjustPreferenceCtx(ctx, sq, toInternalIDs(missing), core.PreferenceOptions{
-		Lambda:    opts.lambda(),
-		Algorithm: core.PrefSweepIndexed,
-	})
+	res, err := e.core.AdjustPreferenceCtx(ctx, sq, toInternalIDs(missing), core.PreferenceOptions{Lambda: opts.lambda()})
 	if err != nil {
 		return nil, err
 	}
@@ -827,10 +821,7 @@ func (e *Engine) WhyNotKeywordsCtx(ctx context.Context, q Query, missing []Objec
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.core.AdaptKeywordsCtx(ctx, sq, toInternalIDs(missing), core.KeywordOptions{
-		Lambda:    opts.lambda(),
-		Algorithm: core.KwBoundPrune,
-	})
+	res, err := e.core.AdaptKeywordsCtx(ctx, sq, toInternalIDs(missing), core.KeywordOptions{Lambda: opts.lambda()})
 	if err != nil {
 		return nil, err
 	}
