@@ -6,7 +6,6 @@
 // Usage:
 //
 //	yaskd [-addr :8080] [-data hotels.json] [-session-ttl 30m]
-//	      [-shards 4] [-splitter str] [-rebalance-factor 1.5]
 //	      [-signatures=false] [-cache=off] [-cache-entries 4096]
 //	      [-cache-bytes 67108864] [-data-dir ./yask-data] [-fsync always]
 //	      [-fsync-interval 100ms] [-checkpoint-every 1000] [-mmap-arenas]
@@ -14,26 +13,16 @@
 //	      [-queue-wait 1s]
 //
 // Without -data it serves the built-in demo dataset, a deterministic
-// synthetic stand-in for the paper's 539 Hong Kong hotels. With
-// -shards > 1 the engine partitions the collection into that many
-// spatial shards and executes queries by scatter-gather (identical
-// results; per-shard statistics on GET /api/stats). -splitter selects
-// the partitioning strategy: "grid" freezes a uniform grid, "str"
-// sort-tile-recursive-packs a sample of the data into balanced
-// rectangles (even shard populations on skewed datasets). A non-zero
-// -rebalance-factor enables online rebalancing: when max/mean shard
-// population exceeds the factor, the engine re-splits in the background
-// and publishes the new partition atomically — watch the live
-// imbalanceFactor and per-shard balance fields on GET /api/stats.
+// synthetic stand-in for the paper's 539 Hong Kong hotels.
 //
 // -signatures (default true) controls the keyword-signature pruning
 // layer baked into the index arenas; answers are byte-identical either
-// way, and the live hit rate (sigHitRate, plus per-shard probe/hit
+// way, and the live hit rate (sigHitRate, plus per-family probe/hit
 // counters) is reported on GET /api/stats.
 //
 // The epoch-keyed result cache is on by default: repeated queries
 // against an unchanged snapshot are answered from memory, and every
-// refresh/rebalance/recovery silently orphans stale entries, so answers
+// refresh/recovery silently orphans stale entries, so answers
 // never change. -cache=off disables it; -cache-entries and -cache-bytes
 // bound it (0 = defaults: 4096 entries, 64 MiB). Live hit rate and
 // sizes are in the cache section of GET /api/stats.
@@ -65,7 +54,7 @@
 // shutdown drain begins, so load balancers route around the process.
 // Admission counters are in the admission section of GET /api/stats.
 //
-// -mmap-arenas (requires -data-dir, single shard) additionally persists
+// -mmap-arenas (requires -data-dir) additionally persists
 // the frozen index arenas next to every checkpoint and boots by
 // memory-mapping them instead of rebuilding the indexes; a damaged
 // arena file silently falls back to the ordinary rebuild. The arena
@@ -97,9 +86,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "dataset file (.json or .csv); empty serves the HK hotel demo")
 	ttl := flag.Duration("session-ttl", server.DefaultSessionTTL, "idle lifetime of cached query sessions")
-	shards := flag.Int("shards", 1, "spatial shards to partition the engine into (1 = single index)")
-	splitter := flag.String("splitter", "grid", "sharding strategy: grid (uniform grid over the data space) or str (sort-tile-recursive packing of a data sample; balances skewed datasets)")
-	rebalance := flag.Float64("rebalance-factor", 0, "enable online shard rebalancing when the max/mean shard population ratio exceeds this factor (must be > 1; 0 disables)")
 	signatures := flag.Bool("signatures", true, "enable the keyword-signature pruning layer (constant-time bitmap bounds before exact keyword merge-walks; identical answers either way)")
 	cache := flag.String("cache", "on", "epoch-keyed result cache: on or off (identical answers either way)")
 	cacheEntries := flag.Int("cache-entries", 0, "result-cache entry bound (0 = 4096)")
@@ -108,24 +94,17 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL acknowledgement policy: always (fsync before every mutation returns), interval (fsync on a timer), or none (leave flushing to the OS)")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "flush period of -fsync interval (0 = 100ms default)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "write a checkpoint automatically after this many logged mutations (0 = only POST /api/checkpoint and shutdown)")
-	mmapArenas := flag.Bool("mmap-arenas", false, "persist index arenas alongside checkpoints and boot by memory-mapping them instead of rebuilding (requires -data-dir; single shard only; damaged arenas fall back to a rebuild)")
+	mmapArenas := flag.Bool("mmap-arenas", false, "persist index arenas alongside checkpoints and boot by memory-mapping them instead of rebuilding (requires -data-dir; damaged arenas fall back to a rebuild)")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request deadline for query endpoints; expired work is abandoned cooperatively and answered 503 (0 disables)")
 	maxInflight := flag.Int("max-inflight", 0, "cap on concurrently executing query requests; excess waits in the admission queue or is shed with 429 (0 = unlimited)")
 	queueDepth := flag.Int("queue-depth", 64, "bound on query requests waiting for an inflight slot when -max-inflight is reached")
 	queueWait := flag.Duration("queue-wait", time.Second, "longest a queued query request may wait for a slot before being shed with 429")
 	flag.Parse()
 
-	if *splitter != "grid" && *splitter != "str" {
-		log.Fatalf("unknown -splitter %q (want grid or str)", *splitter)
-	}
-	if *rebalance != 0 && *rebalance <= 1 {
-		log.Fatalf("-rebalance-factor %v must exceed 1 (max/mean imbalance is never below 1)", *rebalance)
-	}
 	if *cache != "on" && *cache != "off" {
 		log.Fatalf("unknown -cache %q (want on or off)", *cache)
 	}
 	opts := yask.EngineOptions{
-		Shards: *shards, Splitter: *splitter, RebalanceFactor: *rebalance,
 		DisableSignatures: !*signatures,
 		DisableCache:      *cache == "off",
 		CacheEntries:      *cacheEntries, CacheBytes: *cacheBytes,
@@ -186,13 +165,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("opening engine: %v", err)
 		}
-		log.Printf("serving built-in demo dataset (%d HK hotels, %d shard(s))", engine.Len(), engine.Stats().Shards)
+		log.Printf("serving built-in demo dataset (%d HK hotels)", engine.Len())
 	} else {
 		engine, err = yask.LoadEngineWith(*data, opts)
 		if err != nil {
 			log.Fatalf("loading %s: %v", *data, err)
 		}
-		log.Printf("serving %s (%d objects, %d shard(s))", *data, engine.Len(), engine.Stats().Shards)
+		log.Printf("serving %s (%d objects)", *data, engine.Len())
 	}
 	if engine.Stats().Signatures {
 		log.Printf("keyword-signature pruning enabled (256-bit arena bitmaps; hit rate on GET /api/stats)")

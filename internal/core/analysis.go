@@ -28,50 +28,25 @@ func (e *Engine) WeightProfile(q score.Query, missing object.ID) ([]RankStep, er
 	return e.WeightProfileCtx(context.Background(), q, missing)
 }
 
-// WeightProfileCtx is WeightProfile under a context; the full scan over
-// the collection polls the cancellation signal every
-// index.CheckInterval objects.
+// WeightProfileCtx is WeightProfile under a context; the crossing
+// descent polls the cancellation signal every index.CheckInterval node
+// visits. The profile is computed on one acquired view, so it agrees
+// with RankCtx on the same published snapshot: buffered mutations join
+// it at the next refresh, not before.
 func (e *Engine) WeightProfileCtx(ctx context.Context, q score.Query, missing object.ID) ([]RankStep, error) {
-	sn, err := e.acquireSet()
+	v, err := e.acquire()
 	if err != nil {
 		return nil, err
 	}
-	w, err := e.validateWhyNot(ctx, sn, q, []object.ID{missing})
+	w, err := e.validateWhyNot(ctx, v.set, q, []object.ID{missing})
 	if err != nil {
 		return nil, err
 	}
-	s, m := w.s, w.objs[0]
-	ml := lineOf(s, m)
-
-	// Build the crossing events of the missing object's line.
-	type ev struct {
-		wt       float64
-		wasAbove bool
+	c, err := crossEvents(ctx, v.kc, w.s, []scoreLine{lineOf(w.s, w.objs[0])})
+	if err != nil {
+		return nil, err
 	}
-	var events []ev
-	above := 0
-	countdown := index.CheckInterval
-	for _, o := range e.coll.All() {
-		if countdown--; countdown <= 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			countdown = index.CheckInterval
-		}
-		if o.ID == m.ID || !e.coll.Alive(o.ID) {
-			continue
-		}
-		line := lineOf(s, o)
-		above0 := line.aboveNear0(ml)
-		if wt, ok := line.crossing(ml); ok {
-			events = append(events, ev{wt: wt, wasAbove: above0})
-			if above0 {
-				above++
-			}
-		} else if above0 {
-			above++
-		}
-	}
+	events, above := c.events, c.curAbove[0]
 	sort.Slice(events, func(i, j int) bool { return events[i].wt < events[j].wt })
 
 	steps := []RankStep{}

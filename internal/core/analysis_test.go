@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/yask-engine/yask/internal/dataset"
+	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/score"
 	"github.com/yask-engine/yask/internal/settree"
 )
@@ -87,6 +90,103 @@ func TestWeightProfileConsistentWithAdjustPreference(t *testing.T) {
 		}
 	}
 	t.Fatalf("refined wt %v not covered by profile", wt)
+}
+
+// TestWeightProfileServesThePublishedSnapshot: buffered mutations —
+// inserts whose score lines cross the missing object's, and the
+// tombstone of a competitor that stays above it over the whole weight
+// interval — leave the profile untouched until a refresh publishes
+// them, and the step holding the query's own weight always carries
+// RankCtx's rank on the same snapshot.
+func TestWeightProfileServesThePublishedSnapshot(t *testing.T) {
+	ds, err := dataset.Generate(dataset.DefaultConfig(300, 34))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds.Objects, Options{MaxEntries: 16, RefreshEvery: 4})
+	// The deepest of three missing objects ranks k+3, so losing the one
+	// competitor tombstoned below cannot lift it into the top k.
+	q, miss := prefWorkload(t, e, ds, 95, 5, 2, 3)
+	m := miss[2]
+	sn, err := e.acquireSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := setScorer(sn, q)
+	ml := lineOf(s, e.Collection().Get(m))
+	// A probe at the query point sharing no query keyword has the line
+	// (1, 0), which crosses any missing line strictly inside the box.
+	if ml.v0 >= 1 || ml.v1 <= 0 {
+		t.Fatalf("missing line %+v cannot be crossed by the probe", ml)
+	}
+	probe := object.Object{Loc: q.Loc, Doc: ds.Vocab.InternSet("weight-profile-probe"), Name: "probe"}
+	victim, found := object.ID(0), false
+	for _, o := range e.Collection().All() {
+		l := lineOf(s, o)
+		if _, crosses := l.crossing(ml); o.ID != m && !crosses && l.aboveNear0(ml) {
+			victim, found = o.ID, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no competitor stays above the missing object")
+	}
+
+	stepRankMatches := func(label string, steps []RankStep) int {
+		t.Helper()
+		rank, err := e.Rank(q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range steps {
+			if st.From <= q.W.Wt && q.W.Wt < st.To {
+				if st.Rank != rank {
+					t.Fatalf("%s: step [%v,%v) holding wt=%v has rank %d, RankCtx says %d",
+						label, st.From, st.To, q.W.Wt, st.Rank, rank)
+				}
+				return rank
+			}
+		}
+		t.Fatalf("%s: no step holds wt=%v: %+v", label, q.W.Wt, steps)
+		return 0
+	}
+
+	before, err := e.WeightProfile(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rankBefore := stepRankMatches("published", before)
+	for i := 0; i < 2; i++ {
+		if _, err := e.Insert(probe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.PendingMutations(); got != 3 {
+		t.Fatalf("pending = %d, want 3 buffered mutations", got)
+	}
+	buffered, err := e.WeightProfile(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(buffered, before) {
+		t.Fatalf("profile moved on buffered mutations:\n got %+v\nwant %+v", buffered, before)
+	}
+	stepRankMatches("buffered", buffered)
+
+	e.Refresh()
+	after, err := e.WeightProfile(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(after, before) {
+		t.Fatal("profile unchanged after the refresh published three mutations")
+	}
+	if rankAfter := stepRankMatches("refreshed", after); rankAfter == rankBefore {
+		t.Fatalf("rank at wt=%v stayed %d across the refresh", q.W.Wt, rankAfter)
+	}
 }
 
 func TestKeywordImpacts(t *testing.T) {

@@ -1,6 +1,6 @@
 // Arena persistence: the engine half of the mmap-able index snapshots.
 //
-// When Options.MmapArenas is set on a durable single-index engine,
+// When Options.MmapArenas is set on a durable engine,
 // every checkpoint also writes one arena file per index family
 // (arena-set-<lsn>.yar, arena-kc-<lsn>.yar — the serialized frozen
 // rtree.Flat columns, docs/FORMATS.md) with the same atomic-rename
@@ -50,7 +50,7 @@ func arenaPath(dir, family string, lsn uint64) string {
 // ArenaStats is the durability.arena stats section: the state of arena
 // persistence on this engine.
 type ArenaStats struct {
-	// Enabled reports MmapArenas active (durable, unsharded).
+	// Enabled reports MmapArenas active on a durable engine.
 	Enabled bool `json:"enabled"`
 	// MmapBoot reports that this boot mapped its index arenas instead of
 	// rebuilding them.
@@ -87,9 +87,6 @@ type loadedArenas struct {
 // returns nil with a reason on ANY failure — the caller falls back to
 // the ordinary rebuild; nothing here is allowed to fail the boot.
 func tryLoadArenas(opts Options, lsn uint64, rows []wal.Row) (*loadedArenas, string) {
-	if opts.Shards > 1 {
-		return nil, "sharded backend (arenas are per single-index engine)"
-	}
 	maxE := opts.MaxEntries
 	if maxE == 0 {
 		maxE = rtree.DefaultMaxEntries
@@ -160,7 +157,7 @@ func tryLoadArenas(opts Options, lsn uint64, rows []wal.Row) (*loadedArenas, str
 // guarantees recovery, arenas only make it cheap.
 func (e *Engine) writeArenasLocked(lsn uint64) {
 	d := e.dur
-	if d == nil || !d.arenasEnabled || e.group != nil {
+	if d == nil || !d.arenasEnabled {
 		return
 	}
 	if e.pending > 0 {
@@ -245,13 +242,11 @@ func (e *Engine) arenaStatsLocked() *ArenaStats {
 		BytesWritten:   d.arenaBytes,
 		LastWriteError: d.arenaWriteErr,
 	}
-	if e.group == nil && e.set != nil {
-		if e.set.Mapped() {
-			st.MappedNow++
-		}
-		if e.kc.Mapped() {
-			st.MappedNow++
-		}
+	if e.set.Mapped() {
+		st.MappedNow++
+	}
+	if e.kc.Mapped() {
+		st.MappedNow++
 	}
 	return st
 }

@@ -94,14 +94,6 @@ func RunBatchCtx(ctx context.Context, n, workers int, job func(i int)) {
 // with qs. Every query is validated before any work starts; the first
 // invalid query fails the whole batch.
 //
-// The executor schedules (job × partition) work units: on a sharded
-// engine every query fans into one unit per shard, all pulled from the
-// same pool, so shard work interleaves with query work instead of
-// serializing behind it. Units of one query share a cross-partition
-// score bound, letting a unit that starts late prune against the best
-// k-th score its siblings have proven. A final per-query merge pass
-// gathers partition results exactly.
-//
 // Before any index work, every query is resolved against the result
 // cache, and the remaining misses are deduplicated: identical queries
 // in one batch (the canonical key makes "identical" mean semantically
@@ -158,36 +150,10 @@ func (e *Engine) TopKBatchCtx(ctx context.Context, qs []score.Query, opts BatchO
 		}
 	}
 
-	cc := index.CancelOf(ctx)
-	parts := sn.Parts()
-	switch {
-	case len(leaders) == 0:
-		// Whole batch served from cache.
-	case parts == 1:
+	if len(leaders) > 0 {
 		RunBatchCtx(ctx, len(leaders), opts.Workers, func(li int) {
 			i := leaders[li]
 			out[i], _ = e.topKOn(ctx, sn, qs[i], nil)
-		})
-	default:
-		// Scatter phase: the (leader × partition) grid, unit
-		// u = (u/parts)-th leader on the (u%parts)-th shard.
-		partial := make([][]score.Result, len(leaders)*parts)
-		bounds := make([]index.Bound, len(leaders))
-		RunBatchCtx(ctx, len(leaders)*parts, opts.Workers, func(u int) {
-			li, p := u/parts, u%parts
-			i := leaders[li]
-			partial[u] = sn.TopKPart(cc, p, setScorer(sn, qs[i]), qs[i].K, &bounds[li], nil)
-		})
-		// Gather phase: exact per-leader k-merge, itself fanned over the
-		// pool so it does not become a serial tail; each merged answer is
-		// stored for future repeats. A canceled batch skips the cache
-		// store — partial scatter output must never poison the cache.
-		RunBatchCtx(ctx, len(leaders), opts.Workers, func(li int) {
-			i := leaders[li]
-			out[i] = index.MergeTopK(partial[li*parts:(li+1)*parts], qs[i].K, nil)
-			if ctx.Err() == nil {
-				e.cache.PutTopK(epoch, qs[i], out[i])
-			}
 		})
 	}
 	if err := ctx.Err(); err != nil {

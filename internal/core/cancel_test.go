@@ -21,7 +21,7 @@ import (
 // scratch state is reusable and the result cache never holds a partial
 // answer. Pristineness is proven by running the full equivalence
 // check against an untouched cache-disabled twin after the canceled
-// probes, on both the single-index and sharded backends.
+// probes.
 func TestCanceledQueryHygiene(t *testing.T) {
 	ds, err := dataset.Generate(dataset.DefaultConfig(150, 301))
 	if err != nil {
@@ -34,61 +34,59 @@ func TestCanceledQueryHygiene(t *testing.T) {
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel2()
 
-	for _, shards := range []int{1, 3} {
-		e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards})
-		plain := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards, DisableCache: true})
+	e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16})
+	plain := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, DisableCache: true})
 
-		for qi, wq := range qs {
-			q := wq.query(ds.Vocab)
-			if _, err := e.TopKCtx(canceled, q); !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d q%d: canceled TopK err = %v", shards, qi, err)
-			}
-			if res, err := e.TopKCtx(expired, q); !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("shards=%d q%d: expired TopK = (%v, %v)", shards, qi, res, err)
-			}
-			// The append variant must hand back the caller's buffer
-			// truncated to its original contents.
-			buf := make([]score.Result, 2, 16)
-			if got, err := e.TopKAppendCtx(canceled, q, buf); err == nil || len(got) != 2 {
-				t.Fatalf("shards=%d q%d: canceled append = (%d results, %v)", shards, qi, len(got), err)
-			}
-			if _, err := e.TopKBatchCtx(canceled, []score.Query{q, q}, BatchOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d q%d: canceled batch err = %v", shards, qi, err)
-			}
-
-			missing := missingFromResult(plain, q, 2)
-			if len(missing) == 0 {
-				continue
-			}
-			probeWhyNot(t, fmt.Sprintf("shards=%d q%d", shards, qi), e, q, missing, canceled, expired)
+	for qi, wq := range qs {
+		q := wq.query(ds.Vocab)
+		if _, err := e.TopKCtx(canceled, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("q%d: canceled TopK err = %v", qi, err)
 		}
-		// Every probe so far was canceled, so nothing at all was cached.
-		if st := e.Stats(); st.Cache.Entries != 0 {
-			t.Fatalf("shards=%d: canceled probes left %d cache entries", shards, st.Cache.Entries)
+		if res, err := e.TopKCtx(expired, q); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("q%d: expired TopK = (%v, %v)", qi, res, err)
 		}
-		// Again with each initial top-k warm in the cache, the state a
-		// session's follow-ups meet: the canceled follow-ups still leave
-		// no rank behind.
-		for qi, wq := range qs {
-			q := wq.query(ds.Vocab)
-			if _, err := e.TopK(q); err != nil {
-				t.Fatal(err)
-			}
-			if missing := missingFromResult(plain, q, 2); len(missing) > 0 {
-				probeWhyNot(t, fmt.Sprintf("shards=%d q%d/warm", shards, qi), e, q, missing, canceled, expired)
-			}
+		// The append variant must hand back the caller's buffer
+		// truncated to its original contents.
+		buf := make([]score.Result, 2, 16)
+		if got, err := e.TopKAppendCtx(canceled, q, buf); err == nil || len(got) != 2 {
+			t.Fatalf("q%d: canceled append = (%d results, %v)", qi, len(got), err)
+		}
+		if _, err := e.TopKBatchCtx(canceled, []score.Query{q, q}, BatchOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("q%d: canceled batch err = %v", qi, err)
 		}
 
-		// After all those aborted traversals, the engine answers the
-		// whole query surface byte-identically to the untouched twin —
-		// twice, so the second pass also proves no canceled probe left a
-		// partial entry behind for the cache to serve.
-		assertAnswersMatch(t, fmt.Sprintf("shards=%d/after-cancel/fill", shards), plain, ds.Vocab, e, ds.Vocab, qs)
-		assertAnswersMatch(t, fmt.Sprintf("shards=%d/after-cancel/hit", shards), plain, ds.Vocab, e, ds.Vocab, qs)
-
-		if st := e.Stats(); st.Cache == nil || st.Cache.Hits == 0 {
-			t.Fatalf("shards=%d: equivalence pass never hit the cache", shards)
+		missing := missingFromResult(plain, q, 2)
+		if len(missing) == 0 {
+			continue
 		}
+		probeWhyNot(t, fmt.Sprintf("q%d", qi), e, q, missing, canceled, expired)
+	}
+	// Every probe so far was canceled, so nothing at all was cached.
+	if st := e.Stats(); st.Cache.Entries != 0 {
+		t.Fatalf("canceled probes left %d cache entries", st.Cache.Entries)
+	}
+	// Again with each initial top-k warm in the cache, the state a
+	// session's follow-ups meet: the canceled follow-ups still leave
+	// no rank behind.
+	for qi, wq := range qs {
+		q := wq.query(ds.Vocab)
+		if _, err := e.TopK(q); err != nil {
+			t.Fatal(err)
+		}
+		if missing := missingFromResult(plain, q, 2); len(missing) > 0 {
+			probeWhyNot(t, fmt.Sprintf("q%d/warm", qi), e, q, missing, canceled, expired)
+		}
+	}
+
+	// After all those aborted traversals, the engine answers the
+	// whole query surface byte-identically to the untouched twin —
+	// twice, so the second pass also proves no canceled probe left a
+	// partial entry behind for the cache to serve.
+	assertAnswersMatch(t, "after-cancel/fill", plain, ds.Vocab, e, ds.Vocab, qs)
+	assertAnswersMatch(t, "after-cancel/hit", plain, ds.Vocab, e, ds.Vocab, qs)
+
+	if st := e.Stats(); st.Cache == nil || st.Cache.Hits == 0 {
+		t.Fatal("equivalence pass never hit the cache")
 	}
 }
 
@@ -139,7 +137,7 @@ func TestCancelStormScratchHygiene(t *testing.T) {
 	qs := testWorkload(ds, 4, 312)
 	// Cache disabled: every query must traverse, so every iteration
 	// exercises the scratch pools rather than the cache fast path.
-	e := NewEngine(cloneCollection(ds.Objects), Options{Shards: 3, DisableCache: true})
+	e := NewEngine(cloneCollection(ds.Objects), Options{DisableCache: true})
 
 	queries := make([]score.Query, len(qs))
 	want := make([][]score.Result, len(qs))

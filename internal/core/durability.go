@@ -6,8 +6,7 @@
 // through the same managed apply path live mutations use, and
 // republishes the index snapshots. Because live inserts log the global
 // ID they are about to be assigned and replay re-applies in LSN order
-// under the mutation lock, a recovered engine — sharded or not —
-// assigns identical IDs and answers every query byte-identically to the
+// under the mutation lock, a recovered engine assigns identical IDs and answers every query byte-identically to the
 // engine that wrote the log.
 //
 // On the mutation path, every accepted Insert/Remove is appended to the
@@ -47,8 +46,7 @@ type durability struct {
 	replayed          int
 
 	// Arena persistence bookkeeping (arena.go). arenasEnabled is
-	// MmapArenas resolved against the backend (sharded engines never
-	// write or map arenas); the rest feed DurabilityStats.Arena.
+	// Options.MmapArenas; the rest feed DurabilityStats.Arena.
 	arenasEnabled  bool
 	mmapBoot       bool
 	rebuildSkipped bool
@@ -162,7 +160,7 @@ func Open(initial []object.Object, opts Options) (*Engine, error) {
 		policy:            opts.Fsync,
 		checkpointEvery:   opts.CheckpointEvery,
 		lastCheckpointLSN: ckptLSN,
-		arenasEnabled:     opts.MmapArenas && e.group == nil,
+		arenasEnabled:     opts.MmapArenas,
 		mmapBoot:          arenas != nil,
 		arenaFallback:     arenaFallback,
 	}

@@ -409,8 +409,8 @@ func truncateWALToPrefix(t *testing.T, dir string, p int) {
 
 // TestRecoveryEquivalenceAtEveryRecordBoundary is the tentpole property
 // test: for a random mutation script, a crash after ANY acknowledged
-// record — exercised for the single-index backend, the sharded backend,
-// and the mmap-arena boot path (which replays the WAL suffix by thawing
+// record — exercised for the rebuild boot path and the mmap-arena boot
+// path (which replays the WAL suffix by thawing
 // the mapped indexes) — recovers an engine whose whole query surface
 // (top-k IDs and scores, ranks, preference and keyword refinements) is
 // byte-identical to a never-crashed engine that executed exactly that
@@ -425,26 +425,15 @@ func TestRecoveryEquivalenceAtEveryRecordBoundary(t *testing.T) {
 	const nMut = 24
 	muts := mutationScript(ds, nMut, 103)
 
-	configs := []struct {
-		shards int
-		mmap   bool
-	}{
-		{shards: 1, mmap: false},
-		{shards: 3, mmap: false},
-		{shards: 1, mmap: true},
-		// mmap on a sharded engine must transparently fall back to the
-		// rebuild path with the same answers.
-		{shards: 3, mmap: true},
-	}
-	for _, cfg := range configs {
+	for _, mmap := range []bool{false, true} {
 		// One full run writes the WAL all prefixes are carved from.
 		master := t.TempDir()
 		e, err := Open(initialObjects(ds), Options{
-			MaxEntries: 16, Shards: cfg.shards, DataDir: master, Vocab: ds.Vocab,
-			Fsync: wal.SyncAlways, WALSegmentSize: 1024, MmapArenas: cfg.mmap,
+			MaxEntries: 16, DataDir: master, Vocab: ds.Vocab,
+			Fsync: wal.SyncAlways, WALSegmentSize: 1024, MmapArenas: mmap,
 		})
 		if err != nil {
-			t.Fatalf("shards=%d: Open: %v", cfg.shards, err)
+			t.Fatalf("mmap=%v: Open: %v", mmap, err)
 		}
 		for _, m := range muts {
 			m.apply(t, e, ds.Vocab)
@@ -454,8 +443,7 @@ func TestRecoveryEquivalenceAtEveryRecordBoundary(t *testing.T) {
 		}
 
 		// Reference engine advances prefix by prefix alongside the crash
-		// points; always unsharded — shard-count invariance of recovery
-		// falls out of comparing the sharded recoveries against it.
+		// points.
 		//
 		// The rebuild path re-interns keywords in checkpoint-row order, so
 		// its reference uses a fresh vocabulary (proving relabeling
@@ -466,7 +454,7 @@ func TestRecoveryEquivalenceAtEveryRecordBoundary(t *testing.T) {
 		// reference shares the master vocabulary.
 		refV := vocab.NewVocabulary()
 		refObjs := reinternedObjects(ds, refV)
-		if cfg.mmap && cfg.shards == 1 {
+		if mmap {
 			refV = ds.Vocab
 			refObjs = initialObjects(ds)
 		}
@@ -480,16 +468,16 @@ func TestRecoveryEquivalenceAtEveryRecordBoundary(t *testing.T) {
 			truncateWALToPrefix(t, crashed, p)
 			recV := vocab.NewVocabulary()
 			rec, err := Open(nil, Options{
-				MaxEntries: 16, Shards: cfg.shards, DataDir: crashed, Vocab: recV,
-				MmapArenas: cfg.mmap,
+				MaxEntries: 16, DataDir: crashed, Vocab: recV,
+				MmapArenas: mmap,
 			})
 			if err != nil {
-				t.Fatalf("shards=%d prefix %d: recovery: %v", cfg.shards, p, err)
+				t.Fatalf("mmap=%v prefix %d: recovery: %v", mmap, p, err)
 			}
 			if got := rec.Stats().Durability.ReplayedRecords; got != p {
-				t.Fatalf("shards=%d prefix %d: replayed %d records", cfg.shards, p, got)
+				t.Fatalf("mmap=%v prefix %d: replayed %d records", mmap, p, got)
 			}
-			if cfg.mmap && cfg.shards == 1 {
+			if mmap {
 				st := rec.Stats().Durability.Arena
 				if st == nil || !st.MmapBoot {
 					t.Fatalf("mmap prefix %d: boot did not map the arenas: %+v", p, st)
@@ -498,7 +486,7 @@ func TestRecoveryEquivalenceAtEveryRecordBoundary(t *testing.T) {
 					t.Fatalf("mmap prefix %d: rebuildSkipped = %v", p, skipped)
 				}
 			}
-			ctx := fmt.Sprintf("shards=%d/mmap=%v/prefix=%d", cfg.shards, cfg.mmap, p)
+			ctx := fmt.Sprintf("mmap=%v/prefix=%d", mmap, p)
 			assertAnswersMatch(t, ctx, ref, refV, rec, recV, qs)
 			rec.Close()
 		}

@@ -5,13 +5,11 @@
 // and the keyword-adapted why-not module (Definition 3, penalty Eqn 4).
 //
 // The Engine owns a SetR-tree (top-k, explanations, preference
-// adjustment) and a KcR-tree (keyword adaption) over one collection —
-// either as two single indexes (Options.Shards ≤ 1, the fast path) or
-// as two spatially sharded families executing every query by
-// scatter-gather (Options.Shards > 1). Both backends are driven through
-// the shared index.Provider/index.Snapshot contract, so every algorithm
-// here is written once: it acquires one consistent view per computation
-// and runs against index.Snapshot primitives, never a concrete arena.
+// adjustment) and a KcR-tree (keyword adaption) over one collection.
+// Both are driven through the shared index.Provider/index.Snapshot
+// contract, so every algorithm here acquires one consistent view per
+// computation and runs against index.Snapshot primitives, never a
+// concrete arena — a heap-built and an mmap-booted arena look alike.
 //
 // Queries run against immutable frozen snapshots of the indexes, so all
 // methods — including the live-update path Insert/Remove/Refresh — are
@@ -26,7 +24,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/yask-engine/yask/internal/index"
@@ -36,7 +33,6 @@ import (
 	"github.com/yask-engine/yask/internal/rtree"
 	"github.com/yask-engine/yask/internal/score"
 	"github.com/yask-engine/yask/internal/settree"
-	"github.com/yask-engine/yask/internal/shard"
 	"github.com/yask-engine/yask/internal/vocab"
 	"github.com/yask-engine/yask/internal/wal"
 )
@@ -49,15 +45,11 @@ const DefaultLambda = 0.5
 type Engine struct {
 	coll *object.Collection
 
-	// Single-index backend (Options.Shards ≤ 1): the two indexes plus
-	// their provider slice, through which the lifecycle fan-out runs.
+	// The two indexes plus their provider slice, through which the
+	// lifecycle fan-out runs.
 	set       *settree.Index
 	kc        *kcrtree.Index
 	providers []index.Provider
-
-	// Sharded backend (Options.Shards > 1): family 0 is the SetR-tree,
-	// family 1 the KcR-tree.
-	group *shard.Group
 
 	// mu serializes the mutation path (Insert/Remove/Refresh); queries
 	// never take it — they read atomically published snapshots.
@@ -78,19 +70,6 @@ type Engine struct {
 	// refreshTimerSet guards the single outstanding trailing-edge timer
 	// that publishes mutations deferred by the interval rate limit.
 	refreshTimerSet bool
-	// rebalanceFactor is the max/mean imbalance that triggers an online
-	// rebalance of the sharded backend; 0 disables.
-	rebalanceFactor float64
-	// rebalanceFloor is the imbalance measured right after the last
-	// rebalance — the level the splitter proved it cannot get below for
-	// the current data. The automatic trigger requires the imbalance to
-	// exceed this floor (with headroom) again, so a dataset whose skew
-	// is irreducible (many objects at one exact coordinate, which no
-	// cut can separate) costs one rebuild, not one per mutation.
-	// Guarded by mu.
-	rebalanceFloor float64
-	// rebalancing claims the single in-flight background rebalance.
-	rebalancing atomic.Bool
 	// signatures records whether the keyword-signature pruning layer is
 	// active (Options.DisableSignatures inverted), for stats reporting.
 	signatures bool
@@ -134,19 +113,6 @@ type Options struct {
 	// storm stops — or immediately through an explicit Refresh, which
 	// is never rate-limited. Zero disables the rate limit.
 	RefreshInterval time.Duration
-	// Shards partitions the collection into this many spatial shards,
-	// each with its own independently built and refreshed indexes;
-	// queries execute by scatter-gather and return results byte-
-	// identical to the unsharded engine. Values ≤ 1 select the
-	// single-index fast path (identical allocations to before sharding
-	// existed).
-	Shards int
-	// Splitter selects the spatial partitioning strategy of the sharded
-	// backend: nil selects shard.GridSplitter{} (the uniform grid),
-	// shard.STRSplitter{} packs a sample of the collection into balanced
-	// rectangles so skewed datasets keep even shard populations. Ignored
-	// for Shards ≤ 1.
-	Splitter shard.Splitter
 	// DisableSignatures turns off the keyword-signature pruning layer:
 	// the fixed-width hashed bitmaps frozen into every index arena that
 	// give traversals a constant-time upper bound on keyword
@@ -155,28 +121,13 @@ type Options struct {
 	// results (answers are byte-identical either way); the switch exists
 	// for ablation measurements and as an operational escape hatch.
 	DisableSignatures bool
-	// RebalanceFactor enables online shard rebalancing: after a
-	// mutation, when the max/mean live-population ratio across shards
-	// exceeds this factor, a background rebalance re-splits the
-	// collection with the configured splitter, rebuilds every family off
-	// the query path, and publishes the new partition atomically behind
-	// the epoch lock — in-flight queries keep a consistent view
-	// throughout. A rebalance counts as a refresh (the rebuilt arenas
-	// include every buffered mutation). Skew the splitter provably
-	// cannot reduce (e.g. many objects at one exact coordinate) is
-	// remembered as a floor: the trigger only re-fires after the
-	// imbalance drifts ~10% past it, so an irreducible hotspot costs
-	// one rebuild, not one per mutation. Zero disables; values in
-	// (0, 1] panic, because every non-empty layout has imbalance ≥ 1
-	// and the engine would rebalance forever. Ignored for Shards ≤ 1.
-	RebalanceFactor float64
 	// CacheEntries and CacheBytes bound the epoch-keyed result cache
 	// (entry count and approximate retained bytes); zero selects the
 	// qcache defaults. DisableCache turns the cache off entirely — the
 	// ablation and escape hatch, mirroring DisableSignatures. The cache
 	// never changes answers: entries are keyed by the epoch identity of
 	// the published snapshot they were computed against, so any publish
-	// (refresh, rebalance, recovery) silently orphans stale entries.
+	// (refresh, recovery) silently orphans stale entries.
 	CacheEntries int
 	CacheBytes   int64
 	DisableCache bool
@@ -206,8 +157,7 @@ type Options struct {
 	// and the first mutation thaws a live tree on demand. Any damaged,
 	// missing, or incompatible arena file falls back to the ordinary
 	// rebuild (reason recorded in DurabilityStats.Arena), never a wrong
-	// answer. Ignored for sharded engines (Shards > 1) and memory-only
-	// engines; requires Open.
+	// answer. Ignored for memory-only engines; requires Open.
 	MmapArenas bool
 	// Vocab is the vocabulary the collection's keyword sets are interned
 	// in. Durability needs it to spell keyword IDs back into strings for
@@ -225,8 +175,8 @@ func NewEngine(c *object.Collection, opts Options) *Engine {
 	return newEngineWith(c, opts, nil, nil)
 }
 
-// newEngineWith is NewEngine with optionally pre-built single-index
-// backends: the mmap-arena boot path (Open) loads both families from
+// newEngineWith is NewEngine with optionally pre-built indexes: the
+// mmap-arena boot path (Open) loads both families from
 // checkpoint-consistent arena files and passes them in, skipping the
 // bulk-load rebuild. Both must be non-nil together, built over c, and
 // configured consistently with opts; nil/nil builds them here.
@@ -239,53 +189,33 @@ func newEngineWith(c *object.Collection, opts Options, set *settree.Index, kc *k
 	if refreshEvery < 1 {
 		refreshEvery = 1
 	}
-	if opts.RebalanceFactor != 0 && opts.RebalanceFactor <= 1 {
-		panic(fmt.Sprintf("core: rebalance factor %v must exceed 1 (imbalance is never below 1)", opts.RebalanceFactor))
-	}
 	e := &Engine{
 		coll:            c,
 		refreshEvery:    refreshEvery,
 		refreshInterval: opts.RefreshInterval,
 		lastRefresh:     time.Now(),
-		rebalanceFactor: opts.RebalanceFactor,
 		signatures:      !opts.DisableSignatures,
 	}
 	if !opts.DisableCache {
 		e.cache = qcache.New(opts.CacheEntries, opts.CacheBytes)
 	}
 	e.subs = newSubManager(e)
-	if opts.Shards > 1 {
-		e.group = shard.NewGroup(c, opts.Shards, opts.Splitter, []index.Builder{
-			settree.BuilderWith(maxE, e.signatures),
-			kcrtree.BuilderWith(maxE, e.signatures),
-		})
+	if set != nil && kc != nil {
+		e.set, e.kc = set, kc
 	} else {
-		if set != nil && kc != nil {
-			e.set, e.kc = set, kc
-		} else {
-			e.set = settree.BuildWith(c, maxE, e.signatures)
-			e.kc = kcrtree.BuildWith(c, maxE, e.signatures)
-		}
-		e.providers = []index.Provider{e.set, e.kc}
+		e.set = settree.BuildWith(c, maxE, e.signatures)
+		e.kc = kcrtree.BuildWith(c, maxE, e.signatures)
 	}
+	e.providers = []index.Provider{e.set, e.kc}
 	return e
-}
-
-// Shards returns the number of spatial shards the engine executes over
-// (1 for the single-index backend).
-func (e *Engine) Shards() int {
-	if e.group != nil {
-		return e.group.Map().Shards()
-	}
-	return 1
 }
 
 // engineView is one consistent cross-index acquisition: the SetR-family
 // snapshot the top-k and explanation paths run on and the KcR-family
 // snapshot the rank-bound machinery runs on, taken together so a whole
 // why-not computation sees one arena set. Both fields are
-// index.Snapshots — a single arena or a sharded scatter-gather view —
-// which is what keeps every algorithm in this package backend-agnostic.
+// index.Snapshots, which keeps every algorithm in this package
+// independent of how the arena was built or booted.
 type engineView struct {
 	set index.Snapshot
 	kc  index.Snapshot
@@ -298,18 +228,6 @@ type engineView struct {
 func (e *Engine) acquire() (engineView, error) {
 	e.epochMu.RLock()
 	defer e.epochMu.RUnlock()
-	if e.group != nil {
-		_, families := e.group.State()
-		sv, err := families[0].Acquire()
-		if err != nil {
-			return engineView{}, err
-		}
-		kv, err := families[1].Acquire()
-		if err != nil {
-			return engineView{}, err
-		}
-		return engineView{set: sv, kc: kv}, nil
-	}
 	sa, err := e.set.Snapshot()
 	if err != nil {
 		return engineView{}, err
@@ -323,14 +241,10 @@ func (e *Engine) acquire() (engineView, error) {
 
 // acquireSet returns only the SetR-family snapshot — the cheaper
 // acquisition for the paths that never touch the rank-bound machinery
-// (top-k, rank, batches): a sharded KcR acquisition would otherwise
-// assemble a whole unused scatter-gather view per query.
+// (top-k, rank, batches).
 func (e *Engine) acquireSet() (index.Snapshot, error) {
 	e.epochMu.RLock()
 	defer e.epochMu.RUnlock()
-	if e.group != nil {
-		return e.group.Family(0).AcquireSnapshot()
-	}
 	return e.set.Acquire()
 }
 
@@ -373,7 +287,6 @@ func (e *Engine) Insert(o object.Object) (object.ID, error) {
 	id := e.applyInsertLocked(o)
 	e.subs.noteInsert(e.coll.Get(id))
 	e.bumpPendingLocked()
-	e.maybeRebalanceLocked()
 	e.maybeCheckpointLocked()
 	return id, nil
 }
@@ -387,13 +300,10 @@ var ErrAlreadyRemoved = errors.New("already removed")
 
 // applyInsertLocked performs the in-memory half of an insert: append to
 // the collection (assigning the next dense global ID) and insert into
-// the index backend. Shared by the live mutation path and WAL replay —
+// both indexes. Shared by the live mutation path and WAL replay —
 // both run under mu and in global-ID order, which is what keeps a
-// recovered engine (sharded or not) byte-identical to the original.
+// recovered engine byte-identical to the original.
 func (e *Engine) applyInsertLocked(o object.Object) object.ID {
-	if e.group != nil {
-		return e.group.Insert(o)
-	}
 	id := e.coll.Append(o)
 	o = e.coll.Get(id) // pick up the assigned ID
 	for _, p := range e.providers {
@@ -428,7 +338,6 @@ func (e *Engine) Remove(id object.ID) error {
 	e.applyRemoveLocked(id)
 	e.subs.noteRemove(id)
 	e.bumpPendingLocked()
-	e.maybeRebalanceLocked()
 	e.maybeCheckpointLocked()
 	return nil
 }
@@ -436,10 +345,6 @@ func (e *Engine) Remove(id object.ID) error {
 // applyRemoveLocked performs the in-memory half of a remove; the caller
 // has verified id is in range and alive.
 func (e *Engine) applyRemoveLocked(id object.ID) {
-	if e.group != nil {
-		e.group.Remove(id)
-		return
-	}
 	e.coll.Tombstone(id)
 	o := e.coll.Get(id)
 	for _, p := range e.providers {
@@ -447,8 +352,7 @@ func (e *Engine) applyRemoveLocked(id object.ID) {
 	}
 }
 
-// Refresh re-freezes both index arenas (every shard's, when sharded)
-// and atomically publishes them, making every buffered mutation visible
+// Refresh re-freezes both index arenas and atomically publishes them, making every buffered mutation visible
 // to queries. The copy-on-write freeze runs off the query path:
 // concurrent queries keep traversing the old snapshots until the swap.
 // Explicit refreshes are never debounced.
@@ -502,12 +406,8 @@ func (e *Engine) trailingRefresh() {
 
 func (e *Engine) refreshLocked() {
 	e.epochMu.Lock()
-	if e.group != nil {
-		e.group.Refresh()
-	} else {
-		for _, p := range e.providers {
-			p.Refresh()
-		}
+	for _, p := range e.providers {
+		p.Refresh()
 	}
 	e.epochMu.Unlock()
 	e.pending = 0
@@ -515,8 +415,7 @@ func (e *Engine) refreshLocked() {
 	e.postPublishLocked()
 }
 
-// postPublishLocked runs after every epoch publication (refresh or
-// rebalance), still under the mutation lock: it reclaims result-cache
+// postPublishLocked runs after every epoch publication, still under the mutation lock: it reclaims result-cache
 // entries orphaned by the old epoch and hands the new snapshot plus the
 // closed mutation window to the subscription manager. Both are
 // off-query-path bookkeeping; subscription evaluation itself runs on
@@ -533,84 +432,6 @@ func (e *Engine) postPublishLocked() {
 	e.subs.kick(sn)
 }
 
-// rebalanceHeadroom is how much the imbalance must grow past the last
-// rebalance's floor before the automatic trigger re-fires: re-splitting
-// an essentially unchanged distribution yields an essentially identical
-// partition, so re-attempts are only worth a full rebuild after real
-// drift. The 10% margin bounds rebuild frequency geometrically under a
-// steadily worsening hotspot.
-const rebalanceHeadroom = 1.1
-
-// maybeRebalanceLocked launches a background rebalance when the sharded
-// backend's live-population imbalance exceeds the configured factor and
-// the floor the previous rebalance could not get below. The caller
-// holds e.mu; the rebalance goroutine reacquires it, so the collection
-// is stable while the new partition is built, and queries keep
-// scatter-gathering the old epoch until the atomic publish. At most one
-// rebalance is in flight at a time.
-func (e *Engine) maybeRebalanceLocked() {
-	if e.group == nil || e.rebalanceFactor == 0 {
-		return
-	}
-	if !e.wantRebalanceLocked() {
-		return
-	}
-	if !e.rebalancing.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer e.rebalancing.Store(false)
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if !e.wantRebalanceLocked() {
-			return // the mutation storm evened itself out meanwhile
-		}
-		e.rebalanceLocked()
-	}()
-}
-
-// wantRebalanceLocked reports whether the automatic trigger should
-// fire: the imbalance exceeds the configured factor and has drifted
-// past what the last rebalance achieved.
-func (e *Engine) wantRebalanceLocked() bool {
-	imb := e.group.Imbalance()
-	return imb > e.rebalanceFactor && imb > e.rebalanceFloor*rebalanceHeadroom
-}
-
-// rebalanceLocked re-splits the collection with the configured splitter,
-// rebuilds every family off the query path, and publishes the new
-// partition behind the epoch lock — snapshot acquisitions see the old
-// epoch or the new one, never a mix. The rebuilt arenas are frozen from
-// the live collection, so a rebalance also publishes every buffered
-// mutation: it accounts as a refresh.
-func (e *Engine) rebalanceLocked() {
-	commit := e.group.PrepareRebalance()
-	e.epochMu.Lock()
-	commit()
-	e.epochMu.Unlock()
-	e.pending = 0
-	e.lastRefresh = time.Now()
-	e.postPublishLocked()
-	// Whatever imbalance survived the re-split is irreducible for the
-	// current data; don't burn rebuilds re-attempting it until the
-	// distribution actually drifts further.
-	e.rebalanceFloor = e.group.Imbalance()
-}
-
-// Rebalance forces a synchronous re-split of the sharded backend,
-// regardless of the current imbalance or the RebalanceFactor setting —
-// the post-bulk-load hook. It reports whether a rebalance ran (false
-// for the single-index backend, which has nothing to re-split).
-func (e *Engine) Rebalance() bool {
-	if e.group == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rebalanceLocked()
-	return true
-}
-
 // PendingMutations returns the number of mutations buffered since the
 // last snapshot refresh (always 0 unless Options.RefreshEvery or
 // Options.RefreshInterval batches mutations).
@@ -620,27 +441,23 @@ func (e *Engine) PendingMutations() int {
 	return e.pending
 }
 
-// Collection returns the indexed collection (the global one, when
-// sharded).
+// Collection returns the indexed collection.
 func (e *Engine) Collection() *object.Collection { return e.coll }
 
-// SetIndex returns the single-backend SetR-tree, nil when the engine is
-// sharded (per-shard providers live behind the shard group).
+// SetIndex returns the engine's SetR-tree.
 func (e *Engine) SetIndex() *settree.Index { return e.set }
 
-// ShardStats is one shard's row of EngineStats.
+// ShardStats is the index row of EngineStats.
 type ShardStats struct {
-	// Shard is the shard number (0 for the single-index backend).
-	Shard int `json:"shard"`
-	// Objects is the size of the shard's ID space, Live the number of
-	// live (non-tombstoned) objects in it.
+	// Objects is the size of the ID space, Live the number of live
+	// (non-tombstoned) objects in it.
 	Objects int `json:"objects"`
 	Live    int `json:"live"`
 	// SetNodeAccesses and KcNodeAccesses are the cumulative index node
-	// accesses of the shard's two indexes.
+	// accesses of the two indexes.
 	SetNodeAccesses int64 `json:"setNodeAccesses"`
 	KcNodeAccesses  int64 `json:"kcNodeAccesses"`
-	// SetSigProbes/SetSigHits and KcSigProbes/KcSigHits are the shard's
+	// SetSigProbes/SetSigHits and KcSigProbes/KcSigHits are the
 	// keyword-signature pruning counters per index family: probes are
 	// signature bounds consulted, hits the decisive ones (each an exact
 	// keyword set operation skipped).
@@ -648,40 +465,27 @@ type ShardStats struct {
 	SetSigHits   int64 `json:"setSigHits"`
 	KcSigProbes  int64 `json:"kcSigProbes"`
 	KcSigHits    int64 `json:"kcSigHits"`
-	// Balance is the shard's live population relative to the ideal
-	// (total live / shards): 1.0 is a perfectly balanced shard, 0 an
-	// empty one, values near Shards mean the shard holds everything.
-	Balance float64 `json:"balance"`
 }
 
-// EngineStats is the engine's execution snapshot: shard layout, buffered
-// mutations, and per-shard index statistics.
+// EngineStats is the engine's execution snapshot: collection size,
+// buffered mutations, and index statistics.
 type EngineStats struct {
-	Shards  int     `json:"shards"`
 	Objects int     `json:"objects"`
 	Live    int     `json:"live"`
 	Pending int     `json:"pendingMutations"`
 	MaxDist float64 `json:"maxDist"`
-	// Splitter names the sharding strategy ("grid", "str"); empty for
-	// the single-index backend.
-	Splitter string `json:"splitter,omitempty"`
-	// ImbalanceFactor is the max/mean live-population ratio across
-	// shards: 1.0 is perfectly balanced, Shards means one shard holds
-	// everything, 0 an empty engine. The single-index backend trivially
-	// reports 1 (or 0 when empty).
-	ImbalanceFactor float64 `json:"imbalanceFactor"`
-	// Rebalances counts the online rebalances published so far.
-	Rebalances int64 `json:"rebalances"`
 	// Signatures reports whether the keyword-signature pruning layer is
-	// active; SigProbes/SigHits aggregate the per-shard, per-family
-	// counters and SigHitRate is hits/probes (0 when never probed) —
+	// active; SigProbes/SigHits aggregate the per-family counters and
+	// SigHitRate is hits/probes (0 when never probed) —
 	// the fraction of textual evaluations answered by a constant-time
 	// bitmap bound instead of an exact keyword merge-walk.
 	Signatures bool    `json:"signatures"`
 	SigProbes  int64   `json:"sigProbes"`
 	SigHits    int64   `json:"sigHits"`
 	SigHitRate float64 `json:"sigHitRate"`
-	// PerShard has one row per shard (one row for the single backend).
+	// PerShard is a one-row array of index counters. It keeps the name
+	// and shape it had when the engine could be partitioned, because
+	// the served-path benchmark reads GET /api/stats' perShard[0].
 	PerShard []ShardStats `json:"perShard"`
 	// Cache reports the epoch-keyed result cache; nil when disabled.
 	Cache *CacheStats `json:"cache,omitempty"`
@@ -709,7 +513,6 @@ type CacheStats struct {
 // Stats reports the engine's execution statistics.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
-		Shards:     e.Shards(),
 		Objects:    e.coll.Len(),
 		Live:       e.coll.LiveLen(),
 		Pending:    e.PendingMutations(),
@@ -733,62 +536,23 @@ func (e *Engine) Stats() EngineStats {
 		ss := e.subs.stats()
 		st.Subscriptions = &ss
 	}
-	if e.group == nil {
-		if st.Live > 0 {
-			st.ImbalanceFactor = 1
-		}
-		setS, kcS := e.set.Stats(), e.kc.Stats()
-		st.PerShard = []ShardStats{{
-			Shard:           0,
-			Objects:         e.coll.Len(),
-			Live:            e.coll.LiveLen(),
-			SetNodeAccesses: setS.NodeAccesses(),
-			KcNodeAccesses:  kcS.NodeAccesses(),
-			SetSigProbes:    setS.SigProbes(),
-			SetSigHits:      setS.SigHits(),
-			KcSigProbes:     kcS.SigProbes(),
-			KcSigHits:       kcS.SigHits(),
-			Balance:         st.ImbalanceFactor,
-		}}
-		st.finishSigTotals()
-		return st
-	}
-	m, families := e.group.State()
-	st.Splitter = e.group.Splitter().Name()
-	st.ImbalanceFactor = m.ImbalanceFactor()
-	st.Rebalances = e.group.Rebalances()
-	setP := families[0].Providers()
-	kcP := families[1].Providers()
-	totalLive := 0
-	for _, live := range m.LiveCounts() {
-		totalLive += live
-	}
-	st.PerShard = make([]ShardStats, m.Shards())
-	for t := range st.PerShard {
-		c := m.Part(t).Collection()
-		setS, kcS := setP[t].Stats(), kcP[t].Stats()
-		row := ShardStats{
-			Shard:           t,
-			Objects:         c.Len(),
-			Live:            c.LiveLen(),
-			SetNodeAccesses: setS.NodeAccesses(),
-			KcNodeAccesses:  kcS.NodeAccesses(),
-			SetSigProbes:    setS.SigProbes(),
-			SetSigHits:      setS.SigHits(),
-			KcSigProbes:     kcS.SigProbes(),
-			KcSigHits:       kcS.SigHits(),
-		}
-		if totalLive > 0 {
-			row.Balance = float64(row.Live) * float64(m.Shards()) / float64(totalLive)
-		}
-		st.PerShard[t] = row
-	}
+	setS, kcS := e.set.Stats(), e.kc.Stats()
+	st.PerShard = []ShardStats{{
+		Objects:         st.Objects,
+		Live:            st.Live,
+		SetNodeAccesses: setS.NodeAccesses(),
+		KcNodeAccesses:  kcS.NodeAccesses(),
+		SetSigProbes:    setS.SigProbes(),
+		SetSigHits:      setS.SigHits(),
+		KcSigProbes:     kcS.SigProbes(),
+		KcSigHits:       kcS.SigHits(),
+	}}
 	st.finishSigTotals()
 	return st
 }
 
-// finishSigTotals aggregates the per-shard signature counters into the
-// engine-level totals and hit rate.
+// finishSigTotals aggregates the per-family signature counters into
+// the engine-level totals and hit rate.
 func (st *EngineStats) finishSigTotals() {
 	for _, row := range st.PerShard {
 		st.SigProbes += row.SetSigProbes + row.KcSigProbes
@@ -965,10 +729,7 @@ func (e *Engine) validateWhyNot(ctx context.Context, sn index.Snapshot, q score.
 }
 
 // MissingDocUnion returns M.doc = ⋃ o.doc over the missing objects, the
-// keyword universe of the Δdoc normalization in Eqn 4. For a sharded
-// engine this is exactly the union of the per-shard candidate keyword
-// sets: each missing object's document is gathered from its home shard
-// before the global re-rank.
+// keyword universe of the Δdoc normalization in Eqn 4.
 func MissingDocUnion(objs []object.Object) vocab.KeywordSet {
 	var u vocab.KeywordSet
 	for _, o := range objs {

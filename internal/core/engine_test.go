@@ -22,6 +22,119 @@ func testEngine(t *testing.T, n int, seed int64) (*Engine, *dataset.Dataset) {
 	return NewEngine(ds.Objects, Options{MaxEntries: 16}), ds
 }
 
+// cloneCollection returns an independent collection with the same
+// objects, so two engines can apply identical mutation sequences
+// without sharing state.
+func cloneCollection(c *object.Collection) *object.Collection {
+	objs := make([]object.Object, c.Len())
+	copy(objs, c.All())
+	coll := object.NewCollection(objs)
+	for id := 0; id < c.Len(); id++ {
+		if !c.Alive(object.ID(id)) {
+			coll.Tombstone(object.ID(id))
+		}
+	}
+	return coll
+}
+
+// assertSameResults fails unless the two result lists are byte-identical
+// in IDs and scores.
+func assertSameResults(t *testing.T, ctx string, got, want []score.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Obj.ID != want[i].Obj.ID || got[i].Score != want[i].Score {
+			t.Fatalf("%s rank %d: got (%d, %v), want (%d, %v)",
+				ctx, i, got[i].Obj.ID, got[i].Score, want[i].Obj.ID, want[i].Score)
+		}
+	}
+}
+
+// assertEquivalent drives the full query surface of both engines and
+// fails on any divergence of e from ref: top-k (several k), batch top-k, ranks,
+// explanations, and both why-not refinement modules.
+func assertEquivalent(t *testing.T, ctx string, ref, e *Engine, qs []score.Query) {
+	t.Helper()
+	for qi, q := range qs {
+		for _, k := range []int{1, 3, 10, 40} {
+			qk := q
+			qk.K = k
+			want, err := ref.TopK(qk)
+			if err != nil {
+				t.Fatalf("%s q%d k=%d: ref: %v", ctx, qi, k, err)
+			}
+			got, err := e.TopK(qk)
+			if err != nil {
+				t.Fatalf("%s q%d k=%d: %v", ctx, qi, k, err)
+			}
+			assertSameResults(t, ctx, got, want)
+		}
+
+		missing := missingFromResult(ref, q, 2)
+		if len(missing) < 2 {
+			continue
+		}
+		for _, id := range missing {
+			w, err1 := ref.Rank(q, id)
+			g, err2 := e.Rank(q, id)
+			if err1 != nil || err2 != nil || g != w {
+				t.Fatalf("%s q%d: rank(%d) = %d (%v), want %d (%v)", ctx, qi, id, g, err2, w, err1)
+			}
+		}
+
+		wantEx, err1 := ref.Explain(q, missing)
+		gotEx, err2 := e.Explain(q, missing)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s q%d: explain errs %v / %v", ctx, qi, err1, err2)
+		}
+		for i := range wantEx {
+			if gotEx[i].Rank != wantEx[i].Rank || gotEx[i].Score != wantEx[i].Score ||
+				gotEx[i].Reason != wantEx[i].Reason {
+				t.Fatalf("%s q%d: explanation %d diverges: got (rank %d, %v, %v), want (rank %d, %v, %v)",
+					ctx, qi, i, gotEx[i].Rank, gotEx[i].Score, gotEx[i].Reason,
+					wantEx[i].Rank, wantEx[i].Score, wantEx[i].Reason)
+			}
+		}
+
+		wantP, err1 := ref.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
+		gotP, err2 := e.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s q%d: preference errs %v / %v", ctx, qi, err1, err2)
+		}
+		if gotP.Refined.W != wantP.Refined.W || gotP.Refined.K != wantP.Refined.K ||
+			gotP.Penalty != wantP.Penalty || gotP.DeltaK != wantP.DeltaK ||
+			gotP.RankBefore != wantP.RankBefore || gotP.RankAfter != wantP.RankAfter {
+			t.Fatalf("%s q%d: preference diverges:\n got %+v\nwant %+v", ctx, qi, gotP, wantP)
+		}
+
+		wantK, err1 := ref.AdaptKeywords(q, missing[:1], KeywordOptions{Lambda: 0.5})
+		gotK, err2 := e.AdaptKeywords(q, missing[:1], KeywordOptions{Lambda: 0.5})
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s q%d: keyword errs %v / %v", ctx, qi, err1, err2)
+		}
+		// Candidate counters may differ (the engines may prune
+		// differently) but the optimum must not.
+		if !gotK.Refined.Doc.Equal(wantK.Refined.Doc) || gotK.Refined.K != wantK.Refined.K ||
+			gotK.Penalty != wantK.Penalty || gotK.DeltaK != wantK.DeltaK ||
+			gotK.DeltaDoc != wantK.DeltaDoc || gotK.RankBefore != wantK.RankBefore ||
+			gotK.RankAfter != wantK.RankAfter {
+			t.Fatalf("%s q%d: keyword diverges:\n got %+v\nwant %+v", ctx, qi, gotK, wantK)
+		}
+	}
+
+	// Batch executor.
+	wantB, err1 := ref.TopKBatch(qs, BatchOptions{Workers: 4})
+	gotB, err2 := e.TopKBatch(qs, BatchOptions{Workers: 4})
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: batch errs %v / %v", ctx, err1, err2)
+	}
+	for i := range wantB {
+		assertSameResults(t, ctx+" batch", gotB[i], wantB[i])
+	}
+}
+
 // missingFromResult returns IDs of objects ranked right below the top-k
 // under q: ranks k+1 .. k+count. These are guaranteed-valid why-not
 // targets.

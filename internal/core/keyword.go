@@ -77,9 +77,7 @@ type KeywordResult struct {
 // costing an edit, and can never improve the penalty.
 //
 // One checked cross-index view serves the whole enumeration — every
-// candidate is ranked against the same consistent arena (or arena set,
-// when sharded: per-shard rank bounds and counts sum into the global
-// rank).
+// candidate is ranked against the same consistent arena set.
 func (e *Engine) AdaptKeywords(q score.Query, missing []object.ID, opts KeywordOptions) (KeywordResult, error) {
 	return e.AdaptKeywordsCtx(context.Background(), q, missing, opts)
 }

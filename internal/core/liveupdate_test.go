@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/yask-engine/yask/internal/dataset"
 	"github.com/yask-engine/yask/internal/geo"
@@ -281,6 +282,132 @@ func TestConcurrentQueriesDuringMutationStorm(t *testing.T) {
 		if res[i].Obj.ID != want[i].Obj.ID {
 			t.Fatalf("post-storm rank %d: index %d, scan %d", i, res[i].Obj.ID, want[i].Obj.ID)
 		}
+	}
+}
+
+// TestRefreshIntervalDebounce: with a rate limit configured, the count
+// threshold alone does not trigger a re-freeze inside the window;
+// buffered mutations publish on the first trigger past it or on an
+// explicit Refresh.
+func TestRefreshIntervalDebounce(t *testing.T) {
+	ds, err := dataset.Generate(dataset.DefaultConfig(200, 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 1, Seed: 42, K: 3, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})[0]
+	e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, RefreshInterval: time.Hour})
+
+	before, err := e.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A winner at the query point would take rank 1 the moment a refresh
+	// publishes it.
+	winner := object.Object{Loc: q.Loc, Doc: q.Doc}
+	for i := 0; i < 5; i++ {
+		if _, err := e.Insert(winner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.PendingMutations(); got != 5 {
+		t.Fatalf("pending = %d, want 5 (interval must debounce the count trigger)", got)
+	}
+	mid, err := e.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "debounced", mid, before)
+
+	e.Refresh() // explicit refresh is never rate-limited
+	if got := e.PendingMutations(); got != 0 {
+		t.Fatalf("pending after Refresh = %d", got)
+	}
+	after, err := e.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The inserted winner scores the maximal 1.0 (zero distance, exact
+	// keyword match); only a seed object that already scored 1.0 can
+	// outrank it on the ID tie-break.
+	if len(after) == 0 || (int(after[0].Obj.ID) < ds.Objects.Len() && after[0].Score != 1) {
+		t.Fatalf("inserted winner not published by Refresh: %+v", after[0])
+	}
+
+	// The trailing edge of the window publishes deferred mutations on
+	// its own: staleness is bounded by the interval even when the storm
+	// stops after one mutation.
+	e2 := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, RefreshInterval: 30 * time.Millisecond})
+	if _, err := e2.Insert(winner); err != nil {
+		t.Fatal(err)
+	}
+	if e2.PendingMutations() != 1 {
+		t.Fatalf("pending = %d, want 1 (deferred inside the window)", e2.PendingMutations())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for e2.PendingMutations() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("trailing-edge timer never published the deferred mutation")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSnapshotScopedMaxDist: an out-of-space insert buffered behind
+// RefreshEvery must not shift the scores of queries against the old
+// arena — the normalization constant is captured inside the published
+// snapshot, not read live from the collection.
+func TestSnapshotScopedMaxDist(t *testing.T) {
+	ds, err := dataset.Generate(dataset.DefaultConfig(200, 51))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 1, Seed: 52, K: 5, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})[0]
+	coll := cloneCollection(ds.Objects)
+	e := NewEngine(coll, Options{MaxEntries: 16, RefreshEvery: 100})
+	before, err := e.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldMax := coll.MaxDist()
+
+	far := object.Object{
+		Loc: coll.Space().Max,
+		Doc: ds.Objects.Get(0).Doc,
+	}
+	far.Loc.X += 100 * oldMax // grows the live constant dramatically
+	if _, err := e.Insert(far); err != nil {
+		t.Fatal(err)
+	}
+	if coll.MaxDist() <= oldMax {
+		t.Fatal("out-of-space insert did not grow the live constant")
+	}
+
+	mid, err := e.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deterministic window: scores are byte-identical to before the
+	// insert, because the snapshot pins both arena and constant.
+	assertSameResults(t, "pinned constant", mid, before)
+
+	e.Refresh()
+	after, err := e.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The refreshed snapshot scores under the grown constant: every
+	// normalized distance shrank, so the top score strictly grew
+	// unless the winner sat exactly on the query point.
+	if len(after) == 0 {
+		t.Fatal("no results after refresh")
+	}
+	if after[0].Score < before[0].Score {
+		t.Fatalf("top score shrank after constant growth: %v -> %v",
+			before[0].Score, after[0].Score)
 	}
 }
 

@@ -153,8 +153,7 @@ func (c *crossings) add(mi int, line scoreLine) {
 // bounds prove every object stays on one side of the missing line over
 // the whole weight interval — the index-based analogue of the paper's
 // two range queries. Missing objects are competitors of each other too,
-// so only m itself is skipped. Sharded views fan the descent across
-// partitions and report back in global ID space.
+// so only m itself is skipped.
 func crossEvents(ctx context.Context, kc index.Snapshot, s score.Scorer, mLines []scoreLine) (*crossings, error) {
 	cc := index.CancelOf(ctx)
 	c := &crossings{mLines: mLines, curAbove: make([]int, len(mLines))}

@@ -178,7 +178,7 @@ func scanCrossEvents(c *object.Collection, s score.Scorer, mLines []scoreLine) *
 // TestAdjustPreferenceSweepVariantsAgree: the indexed crossing descent
 // finds exactly the crossings a full scan finds — the same events as a
 // multiset of (missing index, other ID) and the same starting counts of
-// objects above each missing object — single and sharded.
+// objects above each missing object.
 func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
 	type cross struct {
 		mIdx  int
@@ -195,33 +195,31 @@ func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3} {
-		e := NewEngine(ds.Objects, Options{MaxEntries: 8, Shards: shards})
-		for seed := int64(20); seed < 32; seed++ {
-			q, miss := prefWorkload(t, e, ds, seed, 5, 1+int(seed)%3, 1+int(seed)%3)
-			v, err := e.acquire()
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := setScorer(v.set, q)
-			mLines := make([]scoreLine, len(miss))
-			for i, id := range miss {
-				mLines[i] = lineOf(s, e.Collection().Get(id))
-			}
-			got, err := crossEvents(context.Background(), v.kc, s, mLines)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := scanCrossEvents(e.Collection(), s, mLines)
-			if len(want.events) == 0 {
-				t.Fatalf("shards=%d seed %d: no crossings, the comparison proves nothing", shards, seed)
-			}
-			if !reflect.DeepEqual(multiset(got), multiset(want)) {
-				t.Fatalf("shards=%d seed %d: indexed events %v, scan %v", shards, seed, multiset(got), multiset(want))
-			}
-			if !reflect.DeepEqual(got.curAbove, want.curAbove) {
-				t.Fatalf("shards=%d seed %d: curAbove %v, scan %v", shards, seed, got.curAbove, want.curAbove)
-			}
+	e := NewEngine(ds.Objects, Options{MaxEntries: 8})
+	for seed := int64(20); seed < 32; seed++ {
+		q, miss := prefWorkload(t, e, ds, seed, 5, 1+int(seed)%3, 1+int(seed)%3)
+		v, err := e.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := setScorer(v.set, q)
+		mLines := make([]scoreLine, len(miss))
+		for i, id := range miss {
+			mLines[i] = lineOf(s, e.Collection().Get(id))
+		}
+		got, err := crossEvents(context.Background(), v.kc, s, mLines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := scanCrossEvents(e.Collection(), s, mLines)
+		if len(want.events) == 0 {
+			t.Fatalf("seed %d: no crossings, the comparison proves nothing", seed)
+		}
+		if !reflect.DeepEqual(multiset(got), multiset(want)) {
+			t.Fatalf("seed %d: indexed events %v, scan %v", seed, multiset(got), multiset(want))
+		}
+		if !reflect.DeepEqual(got.curAbove, want.curAbove) {
+			t.Fatalf("seed %d: curAbove %v, scan %v", seed, got.curAbove, want.curAbove)
 		}
 	}
 }

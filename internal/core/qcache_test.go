@@ -18,11 +18,10 @@ import (
 // property test: an engine with the result cache enabled must answer
 // the whole query surface (top-k, ranks, preference and keyword
 // refinements) byte-identically to a cache-disabled twin at every step
-// of a mutation script, across refreshes, and across an online
-// rebalance — on both the single-index and the sharded backend. Every
-// check runs twice, so the second pass reads answers the first pass
-// cached; the final stats assert the cache really was exercised (hits)
-// and really was invalidated (orphaned epochs).
+// of a mutation script and across refreshes. Every check runs twice,
+// so the second pass reads answers the first pass cached; the final
+// stats assert the cache really was exercised (hits) and really was
+// invalidated (orphaned epochs).
 func TestCacheEquivalenceAcrossMutationsAndPublish(t *testing.T) {
 	ds, err := dataset.Generate(dataset.DefaultConfig(150, 201))
 	if err != nil {
@@ -31,47 +30,39 @@ func TestCacheEquivalenceAcrossMutationsAndPublish(t *testing.T) {
 	qs := testWorkload(ds, 3, 202)
 	muts := mutationScript(ds, 20, 203)
 
-	for _, shards := range []int{1, 3} {
-		cached := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards})
-		plain := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards, DisableCache: true})
-		check := func(ctx string) {
-			t.Helper()
-			// Twice: the first pass fills the cache, the second serves
-			// from it — both must match the uncached engine exactly.
-			assertAnswersMatch(t, ctx+"/fill", plain, ds.Vocab, cached, ds.Vocab, qs)
-			assertAnswersMatch(t, ctx+"/hit", plain, ds.Vocab, cached, ds.Vocab, qs)
+	cached := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16})
+	plain := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, DisableCache: true})
+	check := func(ctx string) {
+		t.Helper()
+		// Twice: the first pass fills the cache, the second serves
+		// from it — both must match the uncached engine exactly.
+		assertAnswersMatch(t, ctx+"/fill", plain, ds.Vocab, cached, ds.Vocab, qs)
+		assertAnswersMatch(t, ctx+"/hit", plain, ds.Vocab, cached, ds.Vocab, qs)
+	}
+	check("initial")
+	for i, m := range muts {
+		m.apply(t, cached, ds.Vocab)
+		m.apply(t, plain, ds.Vocab)
+		if i%5 == 4 {
+			check(fmt.Sprintf("mut=%d", i))
 		}
-		check(fmt.Sprintf("shards=%d/initial", shards))
-		for i, m := range muts {
-			m.apply(t, cached, ds.Vocab)
-			m.apply(t, plain, ds.Vocab)
-			if i%5 == 4 {
-				check(fmt.Sprintf("shards=%d/mut=%d", shards, i))
-			}
-		}
-		cached.Refresh()
-		plain.Refresh()
-		check(fmt.Sprintf("shards=%d/refresh", shards))
-		if shards > 1 {
-			if !cached.Rebalance() || !plain.Rebalance() {
-				t.Fatalf("shards=%d: rebalance did not run", shards)
-			}
-			check(fmt.Sprintf("shards=%d/rebalance", shards))
-		}
+	}
+	cached.Refresh()
+	plain.Refresh()
+	check("refresh")
 
-		st := cached.Stats()
-		if st.Cache == nil {
-			t.Fatalf("shards=%d: no cache stats on a cache-enabled engine", shards)
-		}
-		if st.Cache.Hits == 0 {
-			t.Fatalf("shards=%d: equivalence ran without a single cache hit", shards)
-		}
-		if st.Cache.OrphanedEpochs == 0 {
-			t.Fatalf("shards=%d: mutations published %d epochs but no entries were ever orphaned", shards, len(muts))
-		}
-		if pst := plain.Stats(); pst.Cache != nil {
-			t.Fatalf("shards=%d: DisableCache engine reports cache stats %+v", shards, pst.Cache)
-		}
+	st := cached.Stats()
+	if st.Cache == nil {
+		t.Fatal("no cache stats on a cache-enabled engine")
+	}
+	if st.Cache.Hits == 0 {
+		t.Fatal("equivalence ran without a single cache hit")
+	}
+	if st.Cache.OrphanedEpochs == 0 {
+		t.Fatalf("mutations published %d epochs but no entries were ever orphaned", len(muts))
+	}
+	if pst := plain.Stats(); pst.Cache != nil {
+		t.Fatalf("DisableCache engine reports cache stats %+v", pst.Cache)
 	}
 }
 
@@ -242,8 +233,7 @@ func TestSubscriptionSkipAndUpdate(t *testing.T) {
 // TestSubscriptionMatchesPolling is the subscription equivalence
 // property: across a random mutation script, the newest pushed update
 // of every subscription equals what polling TopK returns at the end —
-// whether the prefilter skipped or re-evaluated along the way — on both
-// backends.
+// whether the prefilter skipped or re-evaluated along the way.
 func TestSubscriptionMatchesPolling(t *testing.T) {
 	ds, err := dataset.Generate(dataset.DefaultConfig(150, 301))
 	if err != nil {
@@ -252,45 +242,43 @@ func TestSubscriptionMatchesPolling(t *testing.T) {
 	muts := mutationScript(ds, 25, 302)
 	qs := testWorkload(ds, 4, 303)
 
-	for _, shards := range []int{1, 3} {
-		e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards})
-		subs := make([]*Subscription, len(qs))
-		latest := make([][]score.Result, len(qs))
-		for i, wq := range qs {
-			sub, err := e.Subscribe(wq.query(ds.Vocab), SubscribeOptions{Buffer: len(muts) + 2})
-			if err != nil {
-				t.Fatalf("shards=%d: subscribe %d: %v", shards, i, err)
-			}
-			defer sub.Close()
-			subs[i] = sub
+	e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16})
+	subs := make([]*Subscription, len(qs))
+	latest := make([][]score.Result, len(qs))
+	for i, wq := range qs {
+		sub, err := e.Subscribe(wq.query(ds.Vocab), SubscribeOptions{Buffer: len(muts) + 2})
+		if err != nil {
+			t.Fatalf("subscribe %d: %v", i, err)
 		}
-		for _, m := range muts {
-			m.apply(t, e, ds.Vocab)
-		}
-		e.subs.WaitIdle()
-		for i, sub := range subs {
-			for {
-				select {
-				case u, ok := <-sub.Updates():
-					if !ok {
-						t.Fatalf("shards=%d: subscription %d dropped (buffer sized for the script)", shards, i)
-					}
-					latest[i] = u.Results
-					continue
-				default:
+		defer sub.Close()
+		subs[i] = sub
+	}
+	for _, m := range muts {
+		m.apply(t, e, ds.Vocab)
+	}
+	e.subs.WaitIdle()
+	for i, sub := range subs {
+		for {
+			select {
+			case u, ok := <-sub.Updates():
+				if !ok {
+					t.Fatalf("subscription %d dropped (buffer sized for the script)", i)
 				}
-				break
+				latest[i] = u.Results
+				continue
+			default:
 			}
-			want, err := e.TopK(qs[i].query(ds.Vocab))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResults(t, fmt.Sprintf("shards=%d sub=%d", shards, i), latest[i], want)
+			break
 		}
-		st := e.subs.stats()
-		if st.Reevaluated == 0 || st.Pushed == 0 {
-			t.Fatalf("shards=%d: script drove no subscription work: %+v", shards, st)
+		want, err := e.TopK(qs[i].query(ds.Vocab))
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSameResults(t, fmt.Sprintf("sub=%d", i), latest[i], want)
+	}
+	st := e.subs.stats()
+	if st.Reevaluated == 0 || st.Pushed == 0 {
+		t.Fatalf("script drove no subscription work: %+v", st)
 	}
 }
 
@@ -338,7 +326,7 @@ func TestSubscriptionSlowClientDisconnect(t *testing.T) {
 }
 
 // TestCacheAndSubscriptionStorm races queries, batch queries,
-// mutations, refreshes, rebalances, and subscription churn against each
+// mutations, refreshes, and subscription churn against each
 // other; the -race tier-1 lane proves the cache and subscription
 // manager are data-race free, and every returned result is checked for
 // internal consistency (k-bounded, descending scores).
@@ -347,7 +335,7 @@ func TestCacheAndSubscriptionStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: 3})
+	e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16})
 	qs := dataset.Workload(ds, dataset.WorkloadConfig{
 		Queries: 16, Seed: 402, K: 5, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
 	})
@@ -417,7 +405,6 @@ func TestCacheAndSubscriptionStorm(t *testing.T) {
 		}
 		if i%16 == 15 {
 			e.Refresh()
-			e.Rebalance()
 		}
 	}
 	close(stop)

@@ -43,57 +43,55 @@ func TestSessionFollowUpsReuseRanks(t *testing.T) {
 	}
 	qs := testWorkload(ds, 4, 402)
 	sessions := 0
-	for _, shards := range []int{1, 3} {
-		e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards})
-		for qi, wq := range qs {
-			q := wq.query(ds.Vocab)
-			missing := missingFromResult(e, q, 2)
-			if len(missing) < 2 {
-				continue
-			}
-			label := fmt.Sprintf("shards=%d q%d", shards, qi)
-			if _, err := e.TopK(q); err != nil {
-				t.Fatal(err)
-			}
-
-			// Explain: one top-k hit, |M| rank misses that traverse.
-			hits, acc := followUp(t, label+"/explain", e, func() error {
-				_, err := e.Explain(q, missing)
-				return err
-			})
-			if hits != 1 || acc == 0 {
-				t.Fatalf("%s: explain took %d hits, %d accesses; want the cached top-k and fresh ranks", label, hits, acc)
-			}
-			hits, acc = followUp(t, label+"/preference", e, func() error {
-				_, err := e.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
-				return err
-			})
-			if hits != int64(len(missing)) || acc != 0 {
-				t.Fatalf("%s: preference after explain took %d hits, %d SetR accesses; want %d, 0", label, hits, acc, len(missing))
-			}
-			hits, acc = followUp(t, label+"/keyword", e, func() error {
-				_, err := e.AdaptKeywords(q, missing, KeywordOptions{Lambda: 0.5})
-				return err
-			})
-			if hits != int64(len(missing)) || acc != 0 {
-				t.Fatalf("%s: keyword after explain took %d hits, %d SetR accesses; want %d, 0", label, hits, acc, len(missing))
-			}
-
-			// A publish orphans the cached ranks: the next follow-up ranks
-			// again on the new epoch.
-			if _, err := e.Insert(object.Object{Loc: ds.Objects.Get(0).Loc, Doc: q.Doc}); err != nil {
-				t.Fatal(err)
-			}
-			missing = missingFromResult(e, q, 2)
-			_, acc = followUp(t, label+"/after-publish", e, func() error {
-				_, err := e.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
-				return err
-			})
-			if acc == 0 {
-				t.Fatalf("%s: ranks survived a publish", label)
-			}
-			sessions++
+	e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16})
+	for qi, wq := range qs {
+		q := wq.query(ds.Vocab)
+		missing := missingFromResult(e, q, 2)
+		if len(missing) < 2 {
+			continue
 		}
+		label := fmt.Sprintf("q%d", qi)
+		if _, err := e.TopK(q); err != nil {
+			t.Fatal(err)
+		}
+
+		// Explain: one top-k hit, |M| rank misses that traverse.
+		hits, acc := followUp(t, label+"/explain", e, func() error {
+			_, err := e.Explain(q, missing)
+			return err
+		})
+		if hits != 1 || acc == 0 {
+			t.Fatalf("%s: explain took %d hits, %d accesses; want the cached top-k and fresh ranks", label, hits, acc)
+		}
+		hits, acc = followUp(t, label+"/preference", e, func() error {
+			_, err := e.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
+			return err
+		})
+		if hits != int64(len(missing)) || acc != 0 {
+			t.Fatalf("%s: preference after explain took %d hits, %d SetR accesses; want %d, 0", label, hits, acc, len(missing))
+		}
+		hits, acc = followUp(t, label+"/keyword", e, func() error {
+			_, err := e.AdaptKeywords(q, missing, KeywordOptions{Lambda: 0.5})
+			return err
+		})
+		if hits != int64(len(missing)) || acc != 0 {
+			t.Fatalf("%s: keyword after explain took %d hits, %d SetR accesses; want %d, 0", label, hits, acc, len(missing))
+		}
+
+		// A publish orphans the cached ranks: the next follow-up ranks
+		// again on the new epoch.
+		if _, err := e.Insert(object.Object{Loc: ds.Objects.Get(0).Loc, Doc: q.Doc}); err != nil {
+			t.Fatal(err)
+		}
+		missing = missingFromResult(e, q, 2)
+		_, acc = followUp(t, label+"/after-publish", e, func() error {
+			_, err := e.AdjustPreference(q, missing, PreferenceOptions{Lambda: 0.5})
+			return err
+		})
+		if acc == 0 {
+			t.Fatalf("%s: ranks survived a publish", label)
+		}
+		sessions++
 	}
 	if sessions == 0 {
 		t.Fatal("no query had two missing objects to ask about")

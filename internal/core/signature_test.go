@@ -11,47 +11,45 @@ import (
 )
 
 // TestSignatureEquivalence is the acceptance sweep of the keyword-
-// signature pruning layer: across random datasets, backends (single and
-// sharded), and mutation interleavings, every answer of the
-// signature-enabled engine — top-k IDs and scores, ranks, explanations,
-// preference and keyword refinement optima, batches — is byte-identical
-// to the engine with signatures disabled.
+// signature pruning layer: across random datasets and mutation
+// interleavings, every answer of the signature-enabled engine — top-k
+// IDs and scores, ranks, explanations, preference and keyword
+// refinement optima, batches — is byte-identical to the engine with
+// signatures disabled.
 func TestSignatureEquivalence(t *testing.T) {
 	for _, seed := range []int64{41, 42} {
 		ds, err := dataset.Generate(dataset.DefaultConfig(500, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 3} {
-			ctx := fmt.Sprintf("sig/seed=%d/shards=%d", seed, shards)
-			off := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards, DisableSignatures: true})
-			on := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards})
-			qs := dataset.Workload(ds, dataset.WorkloadConfig{
-				Queries: 4, Seed: seed + 200, K: 5, Keywords: 2,
-				W: score.DefaultWeights, FromObjectDocs: true,
-			})
-			assertEquivalent(t, ctx+"/fresh", off, on, qs)
+		ctx := fmt.Sprintf("sig/seed=%d", seed)
+		off := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, DisableSignatures: true})
+		on := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16})
+		qs := dataset.Workload(ds, dataset.WorkloadConfig{
+			Queries: 4, Seed: seed + 200, K: 5, Keywords: 2,
+			W: score.DefaultWeights, FromObjectDocs: true,
+		})
+		assertEquivalent(t, ctx+"/fresh", off, on, qs)
 
-			// Identical mutation interleaving on both engines, then
-			// re-check: freshly frozen arenas re-derive their signature
-			// columns.
-			rng := rand.New(rand.NewSource(seed + 9))
-			for i := 0; i < 30; i++ {
-				src := ds.Objects.Get(object.ID(rng.Intn(ds.Objects.Len())))
-				o := object.Object{Loc: src.Loc, Doc: src.Doc, Name: "mut"}
-				id1, err1 := off.Insert(o)
-				id2, err2 := on.Insert(o)
-				if err1 != nil || err2 != nil || id1 != id2 {
-					t.Fatalf("%s: insert diverges: (%d, %v) vs (%d, %v)", ctx, id1, err1, id2, err2)
-				}
-				if i%5 == 4 {
-					if e1, e2 := off.Remove(id1), on.Remove(id1); (e1 == nil) != (e2 == nil) {
-						t.Fatalf("%s: remove diverges: %v vs %v", ctx, e1, e2)
-					}
+		// Identical mutation interleaving on both engines, then
+		// re-check: freshly frozen arenas re-derive their signature
+		// columns.
+		rng := rand.New(rand.NewSource(seed + 9))
+		for i := 0; i < 30; i++ {
+			src := ds.Objects.Get(object.ID(rng.Intn(ds.Objects.Len())))
+			o := object.Object{Loc: src.Loc, Doc: src.Doc, Name: "mut"}
+			id1, err1 := off.Insert(o)
+			id2, err2 := on.Insert(o)
+			if err1 != nil || err2 != nil || id1 != id2 {
+				t.Fatalf("%s: insert diverges: (%d, %v) vs (%d, %v)", ctx, id1, err1, id2, err2)
+			}
+			if i%5 == 4 {
+				if e1, e2 := off.Remove(id1), on.Remove(id1); (e1 == nil) != (e2 == nil) {
+					t.Fatalf("%s: remove diverges: %v vs %v", ctx, e1, e2)
 				}
 			}
-			assertEquivalent(t, ctx+"/mutated", off, on, qs)
 		}
+		assertEquivalent(t, ctx+"/mutated", off, on, qs)
 	}
 }
 
@@ -75,52 +73,50 @@ func TestSignatureEquivalenceDice(t *testing.T) {
 }
 
 // TestSignatureStats: the engine surfaces the signature configuration
-// and live hit/probe counters, aggregated across shards and families.
+// and live hit/probe counters, aggregated across both families.
 func TestSignatureStats(t *testing.T) {
 	ds, err := dataset.Generate(dataset.DefaultConfig(400, 45))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3} {
-		e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards})
-		qs := dataset.Workload(ds, dataset.WorkloadConfig{
-			Queries: 5, Seed: 46, K: 10, Keywords: 2,
-			W: score.DefaultWeights, FromObjectDocs: true,
-		})
-		for _, q := range qs {
-			if _, err := e.TopK(q); err != nil {
-				t.Fatal(err)
-			}
+	e := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16})
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 5, Seed: 46, K: 10, Keywords: 2,
+		W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	for _, q := range qs {
+		if _, err := e.TopK(q); err != nil {
+			t.Fatal(err)
 		}
-		st := e.Stats()
-		if !st.Signatures {
-			t.Fatalf("shards=%d: Signatures = false, want true by default", shards)
-		}
-		if st.SigProbes == 0 || st.SigHits == 0 {
-			t.Fatalf("shards=%d: no signature activity recorded (probes %d, hits %d)", shards, st.SigProbes, st.SigHits)
-		}
-		if st.SigHitRate <= 0 || st.SigHitRate > 1 {
-			t.Fatalf("shards=%d: hit rate %v outside (0, 1]", shards, st.SigHitRate)
-		}
-		var probes, hits int64
-		for _, row := range st.PerShard {
-			probes += row.SetSigProbes + row.KcSigProbes
-			hits += row.SetSigHits + row.KcSigHits
-		}
-		if probes != st.SigProbes || hits != st.SigHits {
-			t.Fatalf("shards=%d: per-shard counters (%d, %d) do not sum to totals (%d, %d)",
-				shards, probes, hits, st.SigProbes, st.SigHits)
-		}
+	}
+	st := e.Stats()
+	if !st.Signatures {
+		t.Fatal("Signatures = false, want true by default")
+	}
+	if st.SigProbes == 0 || st.SigHits == 0 {
+		t.Fatalf("no signature activity recorded (probes %d, hits %d)", st.SigProbes, st.SigHits)
+	}
+	if st.SigHitRate <= 0 || st.SigHitRate > 1 {
+		t.Fatalf("hit rate %v outside (0, 1]", st.SigHitRate)
+	}
+	var probes, hits int64
+	for _, row := range st.PerShard {
+		probes += row.SetSigProbes + row.KcSigProbes
+		hits += row.SetSigHits + row.KcSigHits
+	}
+	if probes != st.SigProbes || hits != st.SigHits {
+		t.Fatalf("per-family counters (%d, %d) do not sum to totals (%d, %d)",
+			probes, hits, st.SigProbes, st.SigHits)
+	}
 
-		disabled := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, Shards: shards, DisableSignatures: true})
-		for _, q := range qs {
-			if _, err := disabled.TopK(q); err != nil {
-				t.Fatal(err)
-			}
+	disabled := NewEngine(cloneCollection(ds.Objects), Options{MaxEntries: 16, DisableSignatures: true})
+	for _, q := range qs {
+		if _, err := disabled.TopK(q); err != nil {
+			t.Fatal(err)
 		}
-		dst := disabled.Stats()
-		if dst.Signatures || dst.SigProbes != 0 || dst.SigHits != 0 {
-			t.Fatalf("shards=%d: disabled engine reports signature activity: %+v", shards, dst)
-		}
+	}
+	dst := disabled.Stats()
+	if dst.Signatures || dst.SigProbes != 0 || dst.SigHits != 0 {
+		t.Fatalf("disabled engine reports signature activity: %+v", dst)
 	}
 }

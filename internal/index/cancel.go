@@ -33,9 +33,8 @@ const CheckInterval = 256
 // Cancel is an allocation-free cancellation token for index
 // traversals: a by-value wrapper around a context's done channel. The
 // zero value never cancels. Tokens are immutable and safe to share
-// across the goroutines of a scatter-gather fan-out — every sibling
-// shard polls the same channel, so one expired deadline stops them
-// all.
+// across goroutines — every query of a batch polls the same channel,
+// so one expired deadline stops them all.
 type Cancel struct {
 	done <-chan struct{}
 }

@@ -4,14 +4,11 @@
 //
 // The contract is what makes the engine composable: internal/core
 // drives the publish/settle/epoch protocol of every family through one
-// Provider slice, and internal/shard stacks S per-partition Providers
-// behind a single scatter-gather Snapshot without knowing which family
-// it is sharding. A sharded family is itself a Snapshot, so every query
-// algorithm in core is written once and runs unchanged over one arena
-// or over S of them. The same indirection is what lets a memory-mapped
-// arena (docs/FORMATS.md) serve in place of a heap-built index: core
-// cannot tell the difference, and the yasklint snapshotdiscipline
-// analyzer statically keeps it that way.
+// Provider slice, and every query algorithm in core is written once
+// against Snapshot primitives. The same indirection is what lets a
+// memory-mapped arena (docs/FORMATS.md) serve in place of a heap-built
+// index: core cannot tell the difference, and the yasklint
+// snapshotdiscipline analyzer statically keeps it that way.
 //
 // The package also hosts the brute-force oracles (ScanTopK, ScanRank)
 // every equivalence property suite validates the families against.

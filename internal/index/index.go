@@ -20,8 +20,7 @@ import (
 // the caller can build a scorer pinned to the snapshot. The reference
 // ID in CountBetter and RankBounds is a tie-break threshold, not an
 // object to skip: the count is over objects whose (score, ID) pair
-// strictly dominates the reference pair, which is what lets a sharded
-// composite translate one global reference into per-shard thresholds.
+// strictly dominates the reference pair.
 //
 // Every traversal primitive takes a Cancel token and must stop within
 // CheckInterval node visits of it tripping. A tripped traversal's
@@ -40,25 +39,15 @@ type Snapshot interface {
 	// from the rtree epoch counter at publication. Two snapshots with
 	// equal epochs are the same immutable state, so any answer computed
 	// against one is valid for the other — the invariant result caches
-	// key on. Refresh, rebalance, and recovery all publish new epochs,
-	// silently orphaning entries keyed to old ones.
+	// key on. Refresh and recovery both publish new epochs, silently
+	// orphaning entries keyed to old ones.
 	Epoch() uint64
-
-	// Parts reports how many independently queryable partitions back the
-	// snapshot: 1 for a single arena, the shard count for a sharded
-	// composite. Batch executors schedule (job × part) work units.
-	Parts() int
 
 	// TopK appends the k best objects under scorer s to dst, best first,
 	// ranked by (score desc, ID asc). A non-nil shared bound lets
 	// concurrent sibling searches exchange their k-th-best scores so a
 	// lagging partition can prune; pass nil when searching alone.
 	TopK(cc Cancel, s score.Scorer, k int, shared *Bound, dst []score.Result) []score.Result
-
-	// TopKPart is TopK restricted to partition part ∈ [0, Parts()).
-	// Partition results merge exactly via MergeTopK. For a single-arena
-	// snapshot, TopKPart(0, ...) is TopK.
-	TopKPart(cc Cancel, part int, s score.Scorer, k int, shared *Bound, dst []score.Result) []score.Result
 
 	// CountBetter returns the number of objects whose (score, ID) pair
 	// strictly dominates (refScore, tie) under scorer s, per
@@ -110,9 +99,8 @@ type Provider interface {
 	Stats() *rtree.Stats
 }
 
-// Builder constructs one Provider over a collection — the factory the
-// shard subsystem calls once per partition, which is how it stays
-// generic over index families.
+// Builder constructs one Provider over a collection, so a caller can
+// build either index family without naming its package.
 type Builder func(c *object.Collection) Provider
 
 // RankOf returns the 1-based rank of object o under scorer s in the
@@ -152,38 +140,4 @@ func (b *Bound) Raise(x float64) {
 			return
 		}
 	}
-}
-
-// MergeTopK merges per-partition top-k lists — each already in rank
-// order — into the global top k, appended to dst. The merge compares
-// (score, ID) exactly like every index traversal, so the result is
-// byte-identical to a single-arena search over the union.
-func MergeTopK(parts [][]score.Result, k int, dst []score.Result) []score.Result {
-	// Cursor per non-empty partition; repeatedly take the best head.
-	// Partition counts are small (k lists of ≤ k entries), so the linear
-	// scan beats a heap in practice and keeps the code obvious.
-	heads := make([]int, len(parts))
-	base := len(dst)
-	for len(dst)-base < k {
-		best := -1
-		for p, h := range heads {
-			if h >= len(parts[p]) {
-				continue
-			}
-			if best == -1 {
-				best = p
-				continue
-			}
-			a, b := parts[p][h], parts[best][heads[best]]
-			if score.Better(a.Score, a.Obj.ID, b.Score, b.Obj.ID) {
-				best = p
-			}
-		}
-		if best == -1 {
-			break
-		}
-		dst = append(dst, parts[best][heads[best]])
-		heads[best]++
-	}
-	return dst
 }

@@ -278,14 +278,8 @@ func newIndex(t *rtree.Tree[object.Object, Aug], c *object.Collection) *Index {
 
 // Builder returns an index.Builder constructing KcR-trees with the
 // given fanout.
-func Builder(maxEntries int) index.Builder { return BuilderWith(maxEntries, true) }
-
-// BuilderWith is Builder with the keyword-signature pruning layer
-// toggled; the sharded engine threads its configuration through here.
-func BuilderWith(maxEntries int, signatures bool) index.Builder {
-	return func(c *object.Collection) index.Provider {
-		return BuildWith(c, maxEntries, signatures)
-	}
+func Builder(maxEntries int) index.Builder {
+	return func(c *object.Collection) index.Provider { return Build(c, maxEntries) }
 }
 
 // SetSignatures toggles the keyword-signature pruning layer (default
@@ -516,20 +510,10 @@ func (a *Arena) Epoch() uint64 { return a.f.Epoch() }
 // Len returns the number of indexed objects in the arena.
 func (a *Arena) Len() int { return a.f.Len() }
 
-// Parts implements index.Snapshot: a single arena is one partition.
-func (a *Arena) Parts() int { return 1 }
-
-// TopKPart implements index.Snapshot; part must be 0.
-//
-//yask:hotpath
-func (a *Arena) TopKPart(cc index.Cancel, part int, s score.Scorer, k int, shared *index.Bound, dst []score.Result) []score.Result {
-	return a.TopK(cc, s, k, shared, dst)
-}
-
 // TopK implements index.Snapshot through the shared index.BestFirstTopK
 // driver, pruning on the upper half of the two-sided score bounds. The
 // engine's top-k path uses the SetR-tree; this exists so a KcR-tree
-// partition set satisfies the full contract.
+// arena satisfies the full contract.
 //
 //yask:hotpath
 func (a *Arena) TopK(cc index.Cancel, s score.Scorer, k int, shared *index.Bound, dst []score.Result) []score.Result {
@@ -561,8 +545,7 @@ func (a *Arena) TopK(cc index.Cancel, s score.Scorer, k int, shared *index.Bound
 // distinguishes the KcR-tree from the SetR-tree for rank computation.
 // The reference pair need not name an indexed object: an object scoring
 // exactly refScore with ID tie never dominates itself, so RankOf needs
-// no self-exclusion, and a sharded composite may pass per-shard
-// tie-break thresholds.
+// no self-exclusion.
 //
 //yask:hotpath
 func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, tie object.ID) int {

@@ -1,6 +1,6 @@
 // The publishdiscipline analyzer: epoch pointers are published, not
 // poked. Every atomic.Pointer in the engine (the rtree publisher's
-// state, the collection's live arrays, the shard map and group state)
+// state, the collection's live arrays)
 // is an epoch pointer whose Store is a commit point with ordering
 // obligations — readers must never observe a half-built state. Only the
 // functions that implement the commit protocol may Store/Swap/CAS one;
@@ -40,10 +40,6 @@ var publishCommitSites = map[string]bool{
 	"/internal/object.NewCollectionWithDead":          true,
 	"/internal/object.Collection.Append":              true,
 	"/internal/object.Collection.Tombstone":           true,
-	"/internal/shard.NewMapWith":                      true,
-	"/internal/shard.Map.Append":                      true,
-	"/internal/shard.NewGroup":                        true,
-	"/internal/shard.Group.PrepareRebalance":          true,
 }
 
 func runPublishDiscipline(pass *analysis.Pass) error {

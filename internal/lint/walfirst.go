@@ -27,14 +27,10 @@ var walMutators = map[string]bool{
 }
 
 // walMutatorCallers are the functions allowed to call the raw mutators:
-// the engine's appliers and the shard storage layer that implements
-// routing on top of per-shard collections.
+// the engine's appliers.
 var walMutatorCallers = map[string]bool{
 	"/internal/core.Engine.applyInsertLocked": true,
 	"/internal/core.Engine.applyRemoveLocked": true,
-	"/internal/shard.NewMapWith":              true,
-	"/internal/shard.Map.Append":              true,
-	"/internal/shard.Map.Tombstone":           true,
 }
 
 // walAppliers are the managed apply operations: inside internal/core
@@ -43,10 +39,6 @@ var walMutatorCallers = map[string]bool{
 var walAppliers = map[string]bool{
 	"/internal/core.Engine.applyInsertLocked": true,
 	"/internal/core.Engine.applyRemoveLocked": true,
-	"/internal/shard.Group.Insert":            true,
-	"/internal/shard.Group.Remove":            true,
-	"/internal/shard.Map.Append":              true,
-	"/internal/shard.Map.Tombstone":           true,
 }
 
 // walEntryPoints are the engine mutation entry points: applier calls

@@ -3,9 +3,9 @@
 // answers. Every answer the engine produces is a pure function of the
 // published snapshot it was computed against, and each published state
 // carries a process-wide unique epoch (rtree.NextEpoch), so an entry
-// keyed by the epoch it was computed at can never go stale: a refresh,
-// rebalance, or recovery publishes a new epoch and silently orphans the
-// old entries. Invalidation is free — eviction is the only policy.
+// keyed by the epoch it was computed at can never go stale: a refresh
+// or recovery publishes a new epoch and silently orphans the old
+// entries. Invalidation is free — eviction is the only policy.
 //
 // The canonical query key is the query itself: keyword sets are interned
 // in sorted, deduplicated form at the API boundary (vocab.InternSet via
@@ -22,6 +22,6 @@
 // AdjustPreference, and TopKBatch, and purges orphaned epochs
 // (PurgeBelow) after every publish; equivalence property tests in
 // internal/core pin cached == uncached across mutations, refreshes,
-// rebalances, and crash recovery. docs/ARCHITECTURE.md places the
+// and crash recovery. docs/ARCHITECTURE.md places the
 // cache in the request path.
 package qcache

@@ -9,10 +9,9 @@ import (
 
 // epochCounter issues process-wide unique, strictly increasing epoch
 // identities. Every publisher stamps one into each arena it publishes,
-// and the shard layer draws family-level epochs from the same counter —
 // so an epoch value identifies one published state across the whole
 // process, which is what lets a result cache key on it and have
-// refresh/rebalance/recovery orphan stale entries for free.
+// refresh/recovery orphan stale entries for free.
 var epochCounter atomic.Uint64
 
 // NextEpoch returns the next process-wide epoch identity. Epoch 0 is

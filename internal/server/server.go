@@ -636,10 +636,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statsResponse is the wire form of GET /api/stats: the engine's shard
-// layout and per-shard execution statistics, plus the server's session
-// count. Operators watching a sharded deployment read shard balance
-// (objects/live per shard) and index work (node accesses) from it.
+// statsResponse is the wire form of GET /api/stats: the engine's
+// collection size and index statistics, plus the server's session
+// count. Operators read index work (node accesses, signature hits)
+// from it.
 type statsResponse struct {
 	Engine   yask.EngineStats `json:"engine"`
 	Sessions int              `json:"sessions"`

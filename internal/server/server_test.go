@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -443,81 +444,140 @@ func TestBatchQueryEndpointRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint: GET /api/stats reports the engine's shard layout
-// and per-shard statistics — one row for the demo engine, S rows (with
-// shard-local object counts summing to the total) for a sharded one.
+// TestStatsEndpoint pins the GET /api/stats shape the served-path
+// benchmark decodes (benchmark/yaskd.go's serverStats): every key it
+// reads is present under the same name, perShard is exactly one row,
+// and the counters it turns into per-layer metrics move after one
+// query and one insert on a durable engine.
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := testServer(t)
+	eng, err := yask.OpenHKDemoEngine(yask.EngineOptions{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ts := httptest.NewServer(New(eng, Config{}))
+	defer ts.Close()
+	status, raw := postJSON(t, ts.URL+"/api/query", queryRequest{
+		X: 114.172, Y: 22.298, Keywords: []string{"wifi", "breakfast"}, K: 3,
+	}, nil)
+	if status != http.StatusOK {
+		t.Fatalf("query status %d: %s", status, raw)
+	}
+	status, raw = postJSON(t, ts.URL+"/api/objects", insertObjectRequest{
+		Name: "new", X: 114.1, Y: 22.3, Keywords: []string{"wifi"},
+	}, nil)
+	if status != http.StatusCreated {
+		t.Fatalf("insert status %d: %s", status, raw)
+	}
+
 	resp, err := http.Get(ts.URL + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine.Shards != 1 || len(st.Engine.PerShard) != 1 {
-		t.Fatalf("demo engine stats: %+v", st.Engine)
+	var st struct {
+		Engine struct {
+			Objects  int `json:"objects"`
+			Live     int `json:"live"`
+			PerShard []struct {
+				SetNodeAccesses int64 `json:"setNodeAccesses"`
+				KcNodeAccesses  int64 `json:"kcNodeAccesses"`
+				SetSigProbes    int64 `json:"setSigProbes"`
+				SetSigHits      int64 `json:"setSigHits"`
+				KcSigProbes     int64 `json:"kcSigProbes"`
+				KcSigHits       int64 `json:"kcSigHits"`
+			} `json:"perShard"`
+			Cache *struct {
+				Bytes          int64 `json:"bytes"`
+				Hits           int64 `json:"hits"`
+				Misses         int64 `json:"misses"`
+				Evictions      int64 `json:"evictions"`
+				OrphanedEpochs int64 `json:"orphanedEpochs"`
+			} `json:"cache"`
+			Durability *struct {
+				WalAppends      int64 `json:"walAppends"`
+				WalFsyncs       int64 `json:"walFsyncs"`
+				WalBytes        int64 `json:"walBytes"`
+				Checkpoints     int64 `json:"checkpoints"`
+				ReplayedRecords int   `json:"replayedRecords"`
+			} `json:"durability"`
+		} `json:"engine"`
+		Admission struct {
+			Admitted int64 `json:"admitted"`
+			Shed     int64 `json:"shed"`
+		} `json:"admission"`
 	}
-	if st.Engine.Objects == 0 || st.Engine.PerShard[0].Objects != st.Engine.Objects {
-		t.Fatalf("object counts inconsistent: %+v", st.Engine)
+	if err := json.Unmarshal(body.Bytes(), &st); err != nil {
+		t.Fatal(err)
 	}
+	var wire map[string]any
+	if err := json.Unmarshal(body.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	assertWireKeys(t, "", reflect.TypeOf(st), wire)
 
-	// Sharded engine: rows per shard, counts summing to the total.
-	objs := make([]yask.Object, 0, 40)
-	for i := 0; i < 40; i++ {
-		objs = append(objs, yask.Object{
-			Name: fmt.Sprintf("o%d", i),
-			X:    float64(i % 8), Y: float64(i / 8),
-			Keywords: []string{"kw", fmt.Sprintf("k%d", i%5)},
-		})
+	e := st.Engine
+	if len(e.PerShard) != 1 {
+		t.Fatalf("perShard has %d rows, want 1", len(e.PerShard))
 	}
-	eng, err := yask.NewEngineWith(objs, yask.EngineOptions{Shards: 4, Splitter: "str"})
-	if err != nil {
-		t.Fatal(err)
+	if e.Objects == 0 || e.Live != e.Objects {
+		t.Fatalf("objects %d, live %d", e.Objects, e.Live)
 	}
-	ts2 := httptest.NewServer(New(eng, Config{}))
-	defer ts2.Close()
-	resp2, err := http.Get(ts2.URL + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
+	if e.PerShard[0].SetNodeAccesses == 0 {
+		t.Fatal("setNodeAccesses = 0 after a query")
 	}
-	defer resp2.Body.Close()
-	var st2 statsResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&st2); err != nil {
-		t.Fatal(err)
+	if e.Cache == nil || e.Cache.Misses == 0 {
+		t.Fatalf("cache section %+v after a miss", e.Cache)
 	}
-	if st2.Engine.Shards != 4 || len(st2.Engine.PerShard) != 4 {
-		t.Fatalf("sharded stats: %+v", st2.Engine)
+	if e.Durability == nil || e.Durability.WalAppends == 0 || e.Durability.WalBytes == 0 {
+		t.Fatalf("durability section %+v after an insert", e.Durability)
 	}
-	sum := 0
-	for _, sh := range st2.Engine.PerShard {
-		sum += sh.Objects
+	if st.Admission.Admitted == 0 {
+		t.Fatal("admission.admitted = 0 after a query")
 	}
-	if sum != 40 || st2.Engine.Objects != 40 {
-		t.Fatalf("per-shard objects sum %d, total %d, want 40", sum, st2.Engine.Objects)
-	}
-	// The shard-balance telemetry reaches the wire: splitter name, the
-	// engine-level imbalance factor, and one balance value per shard.
-	if st2.Engine.Splitter != "str" {
-		t.Fatalf("wire splitter %q, want str", st2.Engine.Splitter)
-	}
-	if st2.Engine.ImbalanceFactor < 1 {
-		t.Fatalf("wire imbalance factor %v, want ≥ 1", st2.Engine.ImbalanceFactor)
-	}
-	balSum := 0.0
-	for _, sh := range st2.Engine.PerShard {
-		balSum += sh.Balance
-	}
-	if balSum < 3.99 || balSum > 4.01 {
-		t.Fatalf("per-shard balance sums to %v, want shard count 4", balSum)
+}
+
+// assertWireKeys fails unless every JSON key typ declares is present in
+// m, recursing into nested structs, through pointers, and into the
+// first element of slices — so renaming a field the benchmark reads
+// fails here rather than decoding silently to zero.
+func assertWireKeys(t *testing.T, path string, typ reflect.Type, m map[string]any) {
+	t.Helper()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		key := path + "." + f.Tag.Get("json")
+		val, ok := m[f.Tag.Get("json")]
+		if !ok {
+			t.Fatalf("GET /api/stats has no %s", key)
+		}
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Slice {
+			rows, _ := val.([]any)
+			if len(rows) == 0 {
+				t.Fatalf("GET /api/stats %s is empty", key)
+			}
+			ft, val = ft.Elem(), rows[0]
+		}
+		if ft.Kind() == reflect.Struct {
+			sub, ok := val.(map[string]any)
+			if !ok {
+				t.Fatalf("GET /api/stats %s is %T, want an object", key, val)
+			}
+			assertWireKeys(t, key, ft, sub)
+		}
 	}
 }
 
 // TestStatsSignatureFields: the keyword-signature telemetry reaches the
 // wire — the configuration flag, live probe/hit counters (engine-level
-// and per shard, per family), and the hit rate — and a disabled engine
+// and per family), and the hit rate — and a disabled engine
 // reports the layer off with zero activity.
 func TestStatsSignatureFields(t *testing.T) {
 	_, ts := testServer(t)
@@ -549,7 +609,7 @@ func TestStatsSignatureFields(t *testing.T) {
 		probes += sh.SetSigProbes + sh.KcSigProbes
 	}
 	if probes != st.Engine.SigProbes {
-		t.Fatalf("per-shard probes %d != engine total %d", probes, st.Engine.SigProbes)
+		t.Fatalf("per-family probes %d != engine total %d", probes, st.Engine.SigProbes)
 	}
 
 	// A signature-disabled engine reports the layer off, with zero

@@ -12,8 +12,7 @@
 // index, plus the rank-counting primitive (how many objects rank above a
 // given score) that both why-not modules are built on. The Index
 // implements index.Provider and its Arena implements index.Snapshot, so
-// the engine and the shard executor drive it through the shared
-// contract.
+// the engine drives it through the shared contract.
 package settree
 
 import (
@@ -206,15 +205,9 @@ func newIndex(t *rtree.Tree[object.Object, Aug], c *object.Collection) *Index {
 }
 
 // Builder returns an index.Builder constructing SetR-trees with the
-// given fanout — the factory the shard executor builds partitions with.
-func Builder(maxEntries int) index.Builder { return BuilderWith(maxEntries, true) }
-
-// BuilderWith is Builder with the keyword-signature pruning layer
-// toggled; the sharded engine threads its configuration through here.
-func BuilderWith(maxEntries int, signatures bool) index.Builder {
-	return func(c *object.Collection) index.Provider {
-		return BuildWith(c, maxEntries, signatures)
-	}
+// given fanout.
+func Builder(maxEntries int) index.Builder {
+	return func(c *object.Collection) index.Provider { return Build(c, maxEntries) }
 }
 
 // Flat exposes the current frozen arena without a freshness check; the
@@ -401,16 +394,6 @@ func (a *Arena) Epoch() uint64 { return a.f.Epoch() }
 
 // Len returns the number of indexed objects in the arena.
 func (a *Arena) Len() int { return a.f.Len() }
-
-// Parts implements index.Snapshot: a single arena is one partition.
-func (a *Arena) Parts() int { return 1 }
-
-// TopKPart implements index.Snapshot; part must be 0.
-//
-//yask:hotpath
-func (a *Arena) TopKPart(cc index.Cancel, part int, s score.Scorer, k int, shared *index.Bound, dst []score.Result) []score.Result {
-	return a.TopK(cc, s, k, shared, dst)
-}
 
 // TopK runs the best-first spatial keyword top-k algorithm of [4] over
 // the SetR-tree through the shared index.BestFirstTopK driver, with the

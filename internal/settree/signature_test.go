@@ -46,10 +46,7 @@ func TestArenaCarriesSignatures(t *testing.T) {
 // re-enabling them takes effect at the next refresh.
 func TestDisabledIndexSkipsColumns(t *testing.T) {
 	ds := testDataset(t, 300, 93)
-	ix, ok := BuilderWith(16, false)(ds.Objects).(*Index)
-	if !ok {
-		t.Fatal("BuilderWith did not build a settree index")
-	}
+	ix := BuildWith(ds.Objects, 16, false)
 	if ix.Flat().HasSigs() {
 		t.Fatal("disabled index materialized signature columns at build")
 	}

@@ -35,7 +35,6 @@ import (
 	"github.com/yask-engine/yask/internal/geo"
 	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/score"
-	"github.com/yask-engine/yask/internal/shard"
 	"github.com/yask-engine/yask/internal/vocab"
 	"github.com/yask-engine/yask/internal/wal"
 )
@@ -182,25 +181,6 @@ type EngineOptions struct {
 	// the interval; an explicit Refresh is never rate-limited. Zero
 	// disables the rate limit.
 	RefreshInterval time.Duration
-	// Shards partitions the collection into this many spatial shards
-	// with independently built and refreshed indexes; queries execute
-	// by scatter-gather across them and return results identical to the
-	// unsharded engine. Values ≤ 1 select the single-index fast path.
-	Shards int
-	// Splitter selects the sharding strategy: "" or "grid" freezes a
-	// uniform grid over the data space at build time, "str" sort-tile-
-	// recursive-packs a sample of the collection into balanced
-	// rectangles, so skewed (clustered) datasets keep even shard
-	// populations. Ignored for Shards ≤ 1.
-	Splitter string
-	// RebalanceFactor enables online shard rebalancing: when the
-	// max/mean live-population ratio across shards exceeds this factor
-	// after a mutation, a background rebalance re-splits the collection
-	// with the configured splitter and publishes the new partition
-	// atomically — queries are never disturbed and answers stay
-	// identical to the unsharded engine throughout. Must exceed 1 when
-	// set; zero disables. Ignored for Shards ≤ 1.
-	RebalanceFactor float64
 	// DisableSignatures turns off the keyword-signature pruning layer —
 	// the fixed-width hashed bitmaps frozen into every index arena that
 	// let traversals skip exact keyword merge-walks whenever a
@@ -213,8 +193,8 @@ type EngineOptions struct {
 	// answered from memory instead of re-traversing the indexes. Zero
 	// selects the defaults (4096 entries, 64 MiB). The cache never
 	// changes answers — entries are keyed by the snapshot's epoch
-	// identity, so every refresh, rebalance, or recovery silently
-	// orphans stale entries. DisableCache turns it off entirely (the
+	// identity, so every refresh or recovery silently orphans stale
+	// entries. DisableCache turns it off entirely (the
 	// ablation and escape hatch, mirroring DisableSignatures).
 	CacheEntries int
 	CacheBytes   int64
@@ -246,8 +226,7 @@ type EngineOptions struct {
 	// query structures come up in O(file open), not O(n log n), and warm
 	// top-k stays allocation-free on the mapped columns. Any damaged or
 	// mismatched arena falls back to the ordinary rebuild — the option
-	// trades boot time, never correctness. Ignored for sharded engines
-	// and without DataDir.
+	// trades boot time, never correctness. Ignored without DataDir.
 	//
 	// Mapping requires the arena's embedded keyword labeling to pin into
 	// the booting engine's vocabulary, so reopen with the same seed
@@ -259,17 +238,10 @@ type EngineOptions struct {
 }
 
 // coreOptions maps the public options onto the internal engine,
-// resolving the splitter name and fsync policy. v is the vocabulary the
+// resolving the fsync policy. v is the vocabulary the
 // engine's documents are interned in; the durability layer needs it to
 // spell keywords back into strings for its log records.
 func (opts EngineOptions) coreOptions(v *vocab.Vocabulary) (core.Options, error) {
-	sp, err := shard.SplitterByName(opts.Splitter)
-	if err != nil {
-		return core.Options{}, fmt.Errorf("yask: %w", err)
-	}
-	if opts.RebalanceFactor != 0 && opts.RebalanceFactor <= 1 {
-		return core.Options{}, fmt.Errorf("yask: rebalance factor %v must exceed 1", opts.RebalanceFactor)
-	}
 	fsync, err := wal.ParseSyncPolicy(opts.Fsync)
 	if err != nil {
 		return core.Options{}, fmt.Errorf("yask: %w", err)
@@ -277,9 +249,6 @@ func (opts EngineOptions) coreOptions(v *vocab.Vocabulary) (core.Options, error)
 	return core.Options{
 		RefreshEvery:      opts.RefreshEvery,
 		RefreshInterval:   opts.RefreshInterval,
-		Shards:            opts.Shards,
-		Splitter:          sp,
-		RebalanceFactor:   opts.RebalanceFactor,
 		DisableSignatures: opts.DisableSignatures,
 		CacheEntries:      opts.CacheEntries,
 		CacheBytes:        opts.CacheBytes,
@@ -358,9 +327,9 @@ func HKDemoEngine() *Engine {
 }
 
 // HKDemoEngineWith is HKDemoEngine with explicit engine options. It
-// panics on invalid options (an unknown splitter name, a rebalance
-// factor ≤ 1): the demo constructor takes configuration, not data, so a
-// bad value is a programming error. When options carry a DataDir —
+// panics on invalid options (an unknown fsync policy): the demo
+// constructor takes configuration, not data, so a bad value is a
+// programming error. When options carry a DataDir —
 // where construction can fail for operational I/O reasons — use
 // OpenHKDemoEngine instead.
 func HKDemoEngineWith(opts EngineOptions) *Engine {
@@ -447,14 +416,6 @@ func (e *Engine) Checkpoint() error { return e.core.Checkpoint() }
 // Queries keep working on the last published snapshot. Close is
 // idempotent and a no-op for memory-only engines.
 func (e *Engine) Close() error { return e.core.Close() }
-
-// Rebalance forces a synchronous re-split of a sharded engine with its
-// configured splitter — useful after a bulk load has skewed the shard
-// populations, independent of the automatic RebalanceFactor trigger.
-// It reports whether a rebalance ran (false for an unsharded engine).
-// Queries keep their consistent view throughout; answers before and
-// after are identical.
-func (e *Engine) Rebalance() bool { return e.core.Rebalance() }
 
 // Object returns the indexed object with the given ID, including
 // removed ones (check with Objects for the live set).
@@ -576,7 +537,7 @@ func (e *Engine) TopKBatch(queries []Query, workers int) ([][]Result, error) {
 
 // TopKBatchCtx is TopKBatch under a context: one cancellation signal
 // covers every work unit of the batch, so an expired deadline stops
-// in-flight shard traversals and keeps queued units from starting. A
+// in-flight traversals and keeps queued units from starting. A
 // canceled batch fails wholesale with ctx.Err().
 func (e *Engine) TopKBatchCtx(ctx context.Context, queries []Query, workers int) ([][]Result, error) {
 	sqs := make([]score.Query, len(queries))
@@ -858,19 +819,17 @@ func (e *Engine) RankCtx(ctx context.Context, q Query, id ObjectID) (int, error)
 	return e.core.RankCtx(ctx, sq, object.ID(id))
 }
 
-// ShardStats is one shard's execution statistics.
+// ShardStats is the engine's index statistics row.
 type ShardStats struct {
-	// Shard is the shard number (0 for an unsharded engine).
-	Shard int `json:"shard"`
-	// Objects is the shard's ID-space size; Live the number of live
-	// (not removed) objects in it.
+	// Objects is the ID-space size; Live the number of live (not
+	// removed) objects in it.
 	Objects int `json:"objects"`
 	Live    int `json:"live"`
 	// SetNodeAccesses and KcNodeAccesses are the cumulative index node
-	// accesses of the shard's SetR- and KcR-trees.
+	// accesses of the SetR- and KcR-trees.
 	SetNodeAccesses int64 `json:"setNodeAccesses"`
 	KcNodeAccesses  int64 `json:"kcNodeAccesses"`
-	// SetSigProbes/SetSigHits and KcSigProbes/KcSigHits are the shard's
+	// SetSigProbes/SetSigHits and KcSigProbes/KcSigHits are the
 	// keyword-signature pruning counters per index family: probes are
 	// signature bounds consulted, hits the decisive ones (each an exact
 	// keyword set operation skipped).
@@ -878,39 +837,28 @@ type ShardStats struct {
 	SetSigHits   int64 `json:"setSigHits"`
 	KcSigProbes  int64 `json:"kcSigProbes"`
 	KcSigHits    int64 `json:"kcSigHits"`
-	// Balance is the shard's live population relative to the ideal
-	// (total live / shards): 1.0 is a perfectly balanced shard, 0 an
-	// empty one.
-	Balance float64 `json:"balance"`
 }
 
-// EngineStats is the engine's execution snapshot: shard layout,
-// buffered mutations, and per-shard index statistics.
+// EngineStats is the engine's execution snapshot: collection size,
+// buffered mutations, and index statistics.
 type EngineStats struct {
-	Shards           int     `json:"shards"`
 	Objects          int     `json:"objects"`
 	Live             int     `json:"live"`
 	PendingMutations int     `json:"pendingMutations"`
 	MaxDist          float64 `json:"maxDist"`
-	// Splitter names the sharding strategy ("grid", "str"); empty for
-	// an unsharded engine.
-	Splitter string `json:"splitter,omitempty"`
-	// ImbalanceFactor is the max/mean live-population ratio across
-	// shards — the skew signal operators watch: 1.0 is perfectly
-	// balanced, Shards means one shard holds everything.
-	ImbalanceFactor float64 `json:"imbalanceFactor"`
-	// Rebalances counts the online rebalances published so far.
-	Rebalances int64 `json:"rebalances"`
 	// Signatures reports whether the keyword-signature pruning layer is
-	// active; SigProbes/SigHits aggregate the per-shard, per-family
-	// counters and SigHitRate is hits/probes — the fraction of textual
-	// evaluations answered by a constant-time bitmap bound instead of
-	// an exact keyword merge-walk.
-	Signatures bool         `json:"signatures"`
-	SigProbes  int64        `json:"sigProbes"`
-	SigHits    int64        `json:"sigHits"`
-	SigHitRate float64      `json:"sigHitRate"`
-	PerShard   []ShardStats `json:"perShard"`
+	// active; SigProbes/SigHits aggregate the per-family counters and
+	// SigHitRate is hits/probes — the fraction of textual evaluations
+	// answered by a constant-time bitmap bound instead of an exact
+	// keyword merge-walk.
+	Signatures bool    `json:"signatures"`
+	SigProbes  int64   `json:"sigProbes"`
+	SigHits    int64   `json:"sigHits"`
+	SigHitRate float64 `json:"sigHitRate"`
+	// PerShard is a one-row array of index counters. It keeps the name
+	// and shape it had when the engine could be partitioned, because
+	// the served-path benchmark reads GET /api/stats' perShard[0].
+	PerShard []ShardStats `json:"perShard"`
 	// Cache reports the epoch-keyed result cache; nil when the engine was
 	// built with DisableCache.
 	Cache *CacheStats `json:"cache,omitempty"`
@@ -1008,19 +956,14 @@ type ArenaStats struct {
 	LastWriteError string `json:"lastWriteError,omitempty"`
 }
 
-// Stats reports the engine's execution statistics, one row per spatial
-// shard (a single row for an unsharded engine).
+// Stats reports the engine's execution statistics.
 func (e *Engine) Stats() EngineStats {
 	st := e.core.Stats()
 	out := EngineStats{
-		Shards:           st.Shards,
 		Objects:          st.Objects,
 		Live:             st.Live,
 		PendingMutations: st.Pending,
 		MaxDist:          st.MaxDist,
-		Splitter:         st.Splitter,
-		ImbalanceFactor:  st.ImbalanceFactor,
-		Rebalances:       st.Rebalances,
 		Signatures:       st.Signatures,
 		SigProbes:        st.SigProbes,
 		SigHits:          st.SigHits,
@@ -1029,11 +972,10 @@ func (e *Engine) Stats() EngineStats {
 	}
 	for i, sh := range st.PerShard {
 		out.PerShard[i] = ShardStats{
-			Shard: sh.Shard, Objects: sh.Objects, Live: sh.Live,
+			Objects: sh.Objects, Live: sh.Live,
 			SetNodeAccesses: sh.SetNodeAccesses, KcNodeAccesses: sh.KcNodeAccesses,
 			SetSigProbes: sh.SetSigProbes, SetSigHits: sh.SetSigHits,
 			KcSigProbes: sh.KcSigProbes, KcSigHits: sh.KcSigHits,
-			Balance: sh.Balance,
 		}
 	}
 	if c := st.Cache; c != nil {

@@ -339,163 +339,3 @@ func TestWhyNotKeywordsBatchPublicAPI(t *testing.T) {
 		t.Fatal("malformed query should fail its job only")
 	}
 }
-
-// TestShardedEnginePublicAPI: an engine built with Shards > 1 serves
-// identical answers through the whole public surface — top-k, batch,
-// rank, explain, both why-not models, live updates — and reports
-// per-shard statistics.
-func TestShardedEnginePublicAPI(t *testing.T) {
-	single, err := NewEngine(demoObjects())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewEngineWith(demoObjects(), EngineOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{X: 0.2, Y: 0.2, Keywords: []string{"coffee", "cafe"}, K: 2}
-
-	want, err := single.TopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sharded.TopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("sharded TopK %d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			t.Fatalf("rank %d: got (%d, %v), want (%d, %v)", i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-		}
-	}
-
-	missing := ObjectID(3) // Far Cafe: textually perfect, spatially out
-	wr, err1 := single.Rank(q, missing)
-	gr, err2 := sharded.Rank(q, missing)
-	if err1 != nil || err2 != nil || wr != gr {
-		t.Fatalf("rank: %d (%v) vs %d (%v)", wr, err1, gr, err2)
-	}
-	wk, err1 := single.WhyNotKeywords(q, []ObjectID{missing}, RefineOptions{})
-	gk, err2 := sharded.WhyNotKeywords(q, []ObjectID{missing}, RefineOptions{})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("whynot keywords: %v / %v", err1, err2)
-	}
-	if gk.Penalty != wk.Penalty || gk.K != wk.K || gk.DeltaDoc != wk.DeltaDoc {
-		t.Fatalf("keyword refinement diverges: %+v vs %+v", gk, wk)
-	}
-	wp, err1 := single.WhyNotPreference(q, []ObjectID{missing}, RefineOptions{})
-	gp, err2 := sharded.WhyNotPreference(q, []ObjectID{missing}, RefineOptions{})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("whynot preference: %v / %v", err1, err2)
-	}
-	if gp.Penalty != wp.Penalty || gp.Wt != wp.Wt || gp.K != wp.K {
-		t.Fatalf("preference refinement diverges: %+v vs %+v", gp, wp)
-	}
-
-	// Live updates route through the shards and stay equivalent.
-	no := Object{Name: "New Cafe", X: 0.2, Y: 0.2, Keywords: []string{"coffee", "cafe"}}
-	id1, err1 := single.Insert(no)
-	id2, err2 := sharded.Insert(no)
-	if err1 != nil || err2 != nil || id1 != id2 {
-		t.Fatalf("insert: (%d, %v) vs (%d, %v)", id1, err1, id2, err2)
-	}
-	want, _ = single.TopK(q)
-	got, _ = sharded.TopK(q)
-	if got[0].ID != id2 || want[0].ID != id1 {
-		t.Fatalf("inserted winner not first: got %d/%d", got[0].ID, want[0].ID)
-	}
-	if err := sharded.Remove(id2); err != nil {
-		t.Fatal(err)
-	}
-	if err := single.Remove(id1); err != nil {
-		t.Fatal(err)
-	}
-
-	st := sharded.Stats()
-	if st.Shards != 3 || len(st.PerShard) != 3 {
-		t.Fatalf("stats: %+v", st)
-	}
-	sum, live := 0, 0
-	for _, sh := range st.PerShard {
-		sum += sh.Objects
-		live += sh.Live
-	}
-	if sum != sharded.Len() || live != sharded.LiveLen() {
-		t.Fatalf("per-shard sums %d/%d, want %d/%d", sum, live, sharded.Len(), sharded.LiveLen())
-	}
-
-	// Batch equivalence through the public API.
-	batchW, err1 := single.TopKBatch([]Query{q, q}, 2)
-	batchG, err2 := sharded.TopKBatch([]Query{q, q}, 2)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("batch: %v / %v", err1, err2)
-	}
-	for i := range batchW {
-		for j := range batchW[i] {
-			if batchG[i][j].ID != batchW[i][j].ID {
-				t.Fatalf("batch %d rank %d diverges", i, j)
-			}
-		}
-	}
-}
-
-// TestSplitterPublicAPI: the STR splitter and online rebalancing are
-// selectable through EngineOptions, reported through Stats, and never
-// change answers; bad configurations are rejected up front.
-func TestSplitterPublicAPI(t *testing.T) {
-	single, err := NewEngine(demoObjects())
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := NewEngineWith(demoObjects(), EngineOptions{
-		Shards: 3, Splitter: "str", RebalanceFactor: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := str.Stats(); st.Splitter != "str" || st.ImbalanceFactor < 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	q := Query{X: 0.2, Y: 0.2, Keywords: []string{"coffee", "cafe"}, K: 3}
-	want, err := single.TopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameIDs := func(ctx string) {
-		t.Helper()
-		got, err := str.TopK(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results, want %d", ctx, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-				t.Fatalf("%s rank %d: got (%d, %v), want (%d, %v)",
-					ctx, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-			}
-		}
-	}
-	assertSameIDs("str")
-	if !str.Rebalance() {
-		t.Fatal("Rebalance() = false on a sharded engine")
-	}
-	assertSameIDs("rebalanced")
-	if got := str.Stats().Rebalances; got < 1 {
-		t.Fatalf("Stats().Rebalances = %d, want ≥ 1", got)
-	}
-	if single.Rebalance() {
-		t.Fatal("Rebalance() = true on an unsharded engine")
-	}
-
-	if _, err := NewEngineWith(demoObjects(), EngineOptions{Shards: 2, Splitter: "hilbert"}); err == nil {
-		t.Fatal("unknown splitter accepted")
-	}
-	if _, err := NewEngineWith(demoObjects(), EngineOptions{Shards: 2, RebalanceFactor: 0.5}); err == nil {
-		t.Fatal("rebalance factor 0.5 accepted")
-	}
-}
