@@ -7,6 +7,8 @@
 package core
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"github.com/yask-engine/yask/internal/dataset"
@@ -93,4 +95,53 @@ func TestTopKAllocationGuard(t *testing.T) {
 		}
 		assertWarmZeroAllocs(t, qs, e.SetIndex().TopKAppend)
 	})
+}
+
+// prefBytesBudget bounds the heap bytes one warm AdjustPreferenceCtx
+// allocates at n = 20k with the result cache off: about 600 bytes of
+// request bookkeeping (the validated missing set, the cache key, the
+// missing lines, the descent closures), rounded up to a power of two.
+// The crossing events, tens of thousands per request, come from a pool;
+// growing them afresh costs 50–400 KB per request.
+const prefBytesBudget = 1024
+
+// TestAdjustPreferenceAllocationBudget is the allocation gate of the
+// preference sweep: a warm adjustment reuses its pooled crossing
+// buffers, so its allocation stays within prefBytesBudget.
+func TestAdjustPreferenceAllocationBudget(t *testing.T) {
+	ds, err := dataset.Generate(dataset.DefaultConfig(20000, 71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds.Objects, Options{DisableCache: true})
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 8, Seed: 72, K: 10, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i, q := range qs {
+		miss := missingFromResult(e, q, 2)
+		run := func() {
+			if _, err := e.AdjustPreferenceCtx(ctx, q, miss, PreferenceOptions{Lambda: 0.3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		// The least of three trials: a garbage collection between two of
+		// them may empty the pool once, which is not what is measured.
+		best := ^uint64(0)
+		for trial := 0; trial < 3; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 10
+			for r := 0; r < runs; r++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		if best > prefBytesBudget {
+			t.Errorf("query %d: warm AdjustPreferenceCtx allocated %d bytes per call, budget %d", i, best, prefBytesBudget)
+		}
+	}
 }

@@ -38,16 +38,17 @@ func (e *Engine) WeightProfileCtx(ctx context.Context, q score.Query, missing ob
 	if err != nil {
 		return nil, err
 	}
-	w, err := e.validateWhyNot(ctx, v.set, q, []object.ID{missing})
+	w, err := e.validateWhyNot(ctx, v, q, []object.ID{missing})
 	if err != nil {
 		return nil, err
 	}
-	c, err := crossEvents(ctx, v.kc, w.s, []scoreLine{lineOf(w.s, w.objs[0])})
+	c, err := crossEvents(ctx, v.kc, w.s, []scoreLine{lineOf(&w.s, &w.objs[0])})
 	if err != nil {
 		return nil, err
 	}
+	defer c.release()
+	c.sortEvents()
 	events, above := c.events, c.curAbove[0]
-	sort.Slice(events, func(i, j int) bool { return events[i].wt < events[j].wt })
 
 	steps := []RankStep{}
 	from := 0.0
@@ -100,7 +101,7 @@ func (e *Engine) KeywordImpactsCtx(ctx context.Context, q score.Query, missing [
 	if err != nil {
 		return nil, err
 	}
-	w, err := e.validateWhyNot(ctx, v.set, q, missing)
+	w, err := e.validateWhyNot(ctx, v, q, missing)
 	if err != nil {
 		return nil, err
 	}

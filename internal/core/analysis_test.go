@@ -113,7 +113,8 @@ func TestWeightProfileServesThePublishedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := setScorer(sn, q)
-	ml := lineOf(s, e.Collection().Get(m))
+	mo := e.Collection().Get(m)
+	ml := lineOf(&s, &mo)
 	// A probe at the query point sharing no query keyword has the line
 	// (1, 0), which crosses any missing line strictly inside the box.
 	if ml.v0 >= 1 || ml.v1 <= 0 {
@@ -122,7 +123,7 @@ func TestWeightProfileServesThePublishedSnapshot(t *testing.T) {
 	probe := object.Object{Loc: q.Loc, Doc: ds.Vocab.InternSet("weight-profile-probe"), Name: "probe"}
 	victim, found := object.ID(0), false
 	for _, o := range e.Collection().All() {
-		l := lineOf(s, o)
+		l := lineOf(&s, &o)
 		if _, crosses := l.crossing(ml); o.ID != m && !crosses && l.aboveNear0(ml) {
 			victim, found = o.ID, true
 			break

@@ -61,6 +61,11 @@ type Engine struct {
 	// vice versa). Mutations never take it — they buffer without
 	// swapping arenas — and readers only wait while a refresh publishes.
 	epochMu sync.RWMutex
+	// published is the collection as of the last publish, captured
+	// under epochMu's write side together with the arenas, so a view's
+	// existence and liveness checks agree with the snapshots it ranks
+	// on; buffered mutations reach it at the next refresh.
+	published object.View
 	// pending counts mutations applied to the trees since the last
 	// snapshot refresh; refreshEvery bounds it.
 	pending         int
@@ -207,18 +212,21 @@ func newEngineWith(c *object.Collection, opts Options, set *settree.Index, kc *k
 		e.kc = kcrtree.BuildWith(c, maxE, e.signatures)
 	}
 	e.providers = []index.Provider{e.set, e.kc}
+	e.published = c.View()
 	return e
 }
 
 // engineView is one consistent cross-index acquisition: the SetR-family
 // snapshot the top-k and explanation paths run on and the KcR-family
 // snapshot the rank-bound machinery runs on, taken together so a whole
-// why-not computation sees one arena set. Both fields are
-// index.Snapshots, which keeps every algorithm in this package
-// independent of how the arena was built or booted.
+// why-not computation sees one arena set, plus the collection view
+// published with them, against which requested object IDs are checked.
+// Both snapshots are index.Snapshots, which keeps every algorithm in
+// this package independent of how the arena was built or booted.
 type engineView struct {
-	set index.Snapshot
-	kc  index.Snapshot
+	set  index.Snapshot
+	kc   index.Snapshot
+	objs object.View
 }
 
 // acquire returns the current cross-index view, atomically with
@@ -236,12 +244,12 @@ func (e *Engine) acquire() (engineView, error) {
 	if err != nil {
 		return engineView{}, err
 	}
-	return engineView{set: sa, kc: ka}, nil
+	return engineView{set: sa, kc: ka, objs: e.published}, nil
 }
 
 // acquireSet returns only the SetR-family snapshot — the cheaper
 // acquisition for the paths that never touch the rank-bound machinery
-// (top-k, rank, batches).
+// or object IDs (top-k, batches, subscriptions).
 func (e *Engine) acquireSet() (index.Snapshot, error) {
 	e.epochMu.RLock()
 	defer e.epochMu.RUnlock()
@@ -409,6 +417,7 @@ func (e *Engine) refreshLocked() {
 	for _, p := range e.providers {
 		p.Refresh()
 	}
+	e.published = e.coll.View()
 	e.epochMu.Unlock()
 	e.pending = 0
 	e.lastRefresh = time.Now()
@@ -634,17 +643,28 @@ func (e *Engine) RankCtx(ctx context.Context, q score.Query, id object.ID) (int,
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	if int(id) >= e.coll.Len() {
-		return 0, fmt.Errorf("core: unknown object ID %d", id)
-	}
-	if !e.coll.Alive(id) {
-		return 0, fmt.Errorf("core: object %d has been removed", id)
-	}
-	sn, err := e.acquireSet()
+	v, err := e.acquire()
 	if err != nil {
 		return 0, err
 	}
-	return e.rankOn(ctx, sn, setScorer(sn, q), e.coll.Get(id))
+	o, err := v.object(id)
+	if err != nil {
+		return 0, err
+	}
+	return e.rankOn(ctx, v.set, setScorer(v.set, q), o)
+}
+
+// object returns the object id names in the view's published state: an
+// ID beyond it (an insert not yet published) is unknown, and one
+// tombstoned in it is removed, while a removal still buffered is not.
+func (v engineView) object(id object.ID) (object.Object, error) {
+	if int(id) >= v.objs.Len() {
+		return object.Object{}, fmt.Errorf("core: unknown object ID %d", id)
+	}
+	if !v.objs.Alive(id) {
+		return object.Object{}, fmt.Errorf("core: object %d has been removed", id)
+	}
+	return v.objs.Get(id), nil
 }
 
 // rankOn returns o's 1-based rank under s on the SetR-family snapshot sn
@@ -682,17 +702,18 @@ type whyNot struct {
 }
 
 // validateWhyNot checks the common preconditions of the why-not
-// operations against an already-acquired SetR-family snapshot: a valid
-// initial query and a non-empty missing set of objects that are
-// genuinely absent from the initial result (rank > k). The ranks come
-// from rankOn, so repeat follow-ups on one epoch reuse them.
-func (e *Engine) validateWhyNot(ctx context.Context, sn index.Snapshot, q score.Query, missing []object.ID) (whyNot, error) {
+// operations against an already-acquired view: a valid initial query
+// and a non-empty missing set of objects, published in the view, that
+// are genuinely absent from the initial result (rank > k). The ranks
+// come from rankOn, so repeat follow-ups on one epoch reuse them.
+func (e *Engine) validateWhyNot(ctx context.Context, v engineView, q score.Query, missing []object.ID) (whyNot, error) {
 	if err := q.Validate(); err != nil {
 		return whyNot{}, err
 	}
 	if len(missing) == 0 {
 		return whyNot{}, errors.New("core: why-not question needs at least one missing object")
 	}
+	sn := v.set
 	w := whyNot{
 		s:     setScorer(sn, q),
 		objs:  make([]object.Object, 0, len(missing)),
@@ -700,17 +721,14 @@ func (e *Engine) validateWhyNot(ctx context.Context, sn index.Snapshot, q score.
 	}
 	seen := make(map[object.ID]bool, len(missing))
 	for _, id := range missing {
-		if int(id) >= e.coll.Len() {
-			return whyNot{}, fmt.Errorf("core: unknown object ID %d", id)
-		}
-		if !e.coll.Alive(id) {
-			return whyNot{}, fmt.Errorf("core: object %d has been removed", id)
+		o, err := v.object(id)
+		if err != nil {
+			return whyNot{}, err
 		}
 		if seen[id] {
 			return whyNot{}, fmt.Errorf("core: duplicate missing object %d", id)
 		}
 		seen[id] = true
-		o := e.coll.Get(id)
 		rank, err := e.rankOn(ctx, sn, w.s, o)
 		if err != nil {
 			// A canceled rank is an undefined partial count; it must not

@@ -177,7 +177,7 @@ func TestValidateWhyNotErrors(t *testing.T) {
 	})[0]
 	res, _ := e.TopK(q)
 
-	v, err := e.acquireSet()
+	v, err := e.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,15 +88,15 @@ func (e *Engine) Explain(q score.Query, missing []object.ID) ([]Explanation, err
 func (e *Engine) ExplainCtx(ctx context.Context, q score.Query, missing []object.ID) ([]Explanation, error) {
 	// One checked view serves the whole analysis, so the top-k and
 	// every rank computation agree on one consistent arena set.
-	sn, err := e.acquireSet()
+	v, err := e.acquire()
 	if err != nil {
 		return nil, err
 	}
-	w, err := e.validateWhyNot(ctx, sn, q, missing)
+	w, err := e.validateWhyNot(ctx, v, q, missing)
 	if err != nil {
 		return nil, err
 	}
-	s := w.s
+	sn, s := v.set, w.s
 	// Cached analyses are keyed on the missing IDs as well as the query;
 	// validation above runs either way, so a hit and a recompute reject
 	// exactly the same inputs. Hits hand out a fresh slice: Explanation
@@ -106,8 +106,8 @@ func (e *Engine) ExplainCtx(ctx context.Context, q score.Query, missing []object
 	for i, id := range missing {
 		extra[i] = uint64(id)
 	}
-	if v, ok := e.cache.GetValue(epoch, qcache.KindExplain, q, extra); ok {
-		return append([]Explanation(nil), v.([]Explanation)...), nil
+	if cached, ok := e.cache.GetValue(epoch, qcache.KindExplain, q, extra); ok {
+		return append([]Explanation(nil), cached.([]Explanation)...), nil
 	}
 	result, err := e.topKOn(ctx, sn, q, nil)
 	if err != nil {

@@ -90,7 +90,7 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 	if err != nil {
 		return KeywordResult{}, err
 	}
-	w, err := e.validateWhyNot(ctx, v.set, q, missing)
+	w, err := e.validateWhyNot(ctx, v, q, missing)
 	if err != nil {
 		return KeywordResult{}, err
 	}
@@ -267,7 +267,7 @@ func (e *Engine) KeywordUniverse(q score.Query, missing []object.ID) (vocab.Keyw
 	if err != nil {
 		return nil, err
 	}
-	w, err := e.validateWhyNot(context.Background(), v.set, q, missing)
+	w, err := e.validateWhyNot(context.Background(), v, q, missing)
 	if err != nil {
 		return nil, err
 	}

@@ -158,6 +158,67 @@ func TestRefreshEveryBatchesMutations(t *testing.T) {
 	}
 }
 
+// TestIDChecksFollowThePublishedSnapshot: Rank and the why-not
+// operations resolve object IDs in the collection as it was published
+// with the snapshot they rank on. With mutations buffered, an insert
+// not yet published is unknown (it is not in the arena, so a rank for
+// it would be made up), and a published object whose removal is still
+// buffered keeps its published rank; both flip at the refresh.
+func TestIDChecksFollowThePublishedSnapshot(t *testing.T) {
+	for _, cacheOff := range []bool{false, true} {
+		e, ds := liveTestEngine(t, 300, 34, Options{RefreshEvery: 4, DisableCache: cacheOff})
+		q := liveQuery(ds, 34)
+		miss := missingFromResult(e, q, 1)
+		victim := miss[0]
+		wantRank, err := e.Rank(q, victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added, err := e.Insert(object.Object{Loc: q.Loc, Doc: q.Doc, Name: "unpublished"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Remove(victim); err != nil {
+			t.Fatal(err)
+		}
+		if e.PendingMutations() != 2 {
+			t.Fatalf("cache off %v: pending %d, want 2 buffered mutations", cacheOff, e.PendingMutations())
+		}
+
+		unknown := func(op string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("cache off %v: %s accepted the unpublished insert %d", cacheOff, op, added)
+			}
+		}
+		_, err = e.Rank(q, added)
+		unknown("Rank", err)
+		_, err = e.Explain(q, []object.ID{added})
+		unknown("Explain", err)
+		_, err = e.AdjustPreference(q, []object.ID{added}, PreferenceOptions{Lambda: 0.5})
+		unknown("AdjustPreference", err)
+
+		if r, err := e.Rank(q, victim); err != nil || r != wantRank {
+			t.Fatalf("cache off %v: Rank of the buffered removal = %d, %v; want the published %d", cacheOff, r, err, wantRank)
+		}
+		ex, err := e.Explain(q, []object.ID{victim})
+		if err != nil || ex[0].Rank != wantRank {
+			t.Fatalf("cache off %v: Explain of the buffered removal = %+v, %v; want rank %d", cacheOff, ex, err, wantRank)
+		}
+		if _, err := e.AdjustPreference(q, []object.ID{victim}, PreferenceOptions{Lambda: 0.5}); err != nil {
+			t.Fatalf("cache off %v: AdjustPreference of the buffered removal: %v", cacheOff, err)
+		}
+
+		e.Refresh()
+		if _, err := e.Rank(q, victim); err == nil {
+			t.Fatalf("cache off %v: Rank accepted the published removal %d", cacheOff, victim)
+		}
+		if r, err := e.Rank(q, added); err != nil || r != 1 {
+			t.Fatalf("cache off %v: Rank of the published insert at the query = %d, %v; want 1", cacheOff, r, err)
+		}
+	}
+}
+
 // TestStaleTreeMutationSurfacesAsError: bypassing the engine and
 // mutating an index tree directly must turn engine queries into
 // ErrStaleSnapshot errors until Refresh.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/yask-engine/yask/internal/index"
 	"github.com/yask-engine/yask/internal/object"
@@ -68,8 +70,10 @@ type scoreLine struct {
 	id     object.ID
 }
 
-func lineOf(s score.Scorer, o object.Object) scoreLine {
-	spatial, textual := s.Components(o)
+// lineOf returns o's score line under s. Both arguments are pointers:
+// the crossing descent calls it once per visited object.
+func lineOf(s *score.Scorer, o *object.Object) scoreLine {
+	spatial, textual := s.Components(*o)
 	return scoreLine{v0: spatial, v1: textual, id: o.ID}
 }
 
@@ -129,10 +133,40 @@ type prefEvent struct {
 // crossings is the sweep's input: every interior crossing of a
 // competitor's line with a missing object's line, and curAbove[mi], the
 // number of competitors above missing object mi just inside wt = 0.
+// Values come from newCrossings and go back through release once the
+// sweep is done with them.
 type crossings struct {
 	mLines   []scoreLine
 	events   []prefEvent
 	curAbove []int
+}
+
+// crossingsPool recycles the events and curAbove buffers: a session's
+// descent appends tens of thousands of events, and growing that slice
+// afresh on every request is most of the sweep's garbage.
+var crossingsPool = sync.Pool{New: func() any { return new(crossings) }}
+
+// newCrossings returns empty crossings for mLines from the pool.
+func newCrossings(mLines []scoreLine) *crossings {
+	c := crossingsPool.Get().(*crossings)
+	c.mLines = mLines
+	c.events = c.events[:0]
+	c.curAbove = slices.Grow(c.curAbove[:0], len(mLines))[:len(mLines)]
+	clear(c.curAbove)
+	return c
+}
+
+// release returns c to the pool; c must not be used afterwards.
+func (c *crossings) release() {
+	c.mLines = nil
+	crossingsPool.Put(c)
+}
+
+// sortEvents orders the events by crossing weight. Order within one
+// weight does not matter: the sweep applies a whole group of equal-wt
+// events before it ranks.
+func (c *crossings) sortEvents() {
+	slices.SortFunc(c.events, func(a, b prefEvent) int { return cmp.Compare(a.wt, b.wt) })
 }
 
 // add folds one competitor line into missing object mi's events and
@@ -156,18 +190,19 @@ func (c *crossings) add(mi int, line scoreLine) {
 // so only m itself is skipped.
 func crossEvents(ctx context.Context, kc index.Snapshot, s score.Scorer, mLines []scoreLine) (*crossings, error) {
 	cc := index.CancelOf(ctx)
-	c := &crossings{mLines: mLines, curAbove: make([]int, len(mLines))}
+	c := newCrossings(mLines)
 	for mi, ml := range mLines {
 		kc.ForEachCross(cc, s, ml.v0, ml.v1,
 			func(o object.Object) {
 				if o.ID != ml.id {
-					c.add(mi, lineOf(s, o))
+					c.add(mi, lineOf(&s, &o))
 				}
 			},
 			func(count int) { c.curAbove[mi] += count })
 		if err := ctx.Err(); err != nil {
 			// A truncated descent means missing crossing events: the
 			// sweep would compute wrong ranks, so bail out here.
+			c.release()
 			return nil, err
 		}
 	}
@@ -190,7 +225,7 @@ func (e *Engine) AdjustPreferenceCtx(ctx context.Context, q score.Query, missing
 	if err != nil {
 		return PreferenceResult{}, err
 	}
-	w, err := e.validateWhyNot(ctx, v.set, q, missing)
+	w, err := e.validateWhyNot(ctx, v, q, missing)
 	if err != nil {
 		return PreferenceResult{}, err
 	}
@@ -261,18 +296,23 @@ const crossingNudge = 1e-9
 // theorem), and evaluate penalty Eqn 3 at every intersection, nudged one
 // epsilon past the crossing away from the initial weight.
 func adjustBySweep(ctx context.Context, kc index.Snapshot, s score.Scorer, objs []object.Object, rankBefore int, lambda float64) (PreferenceResult, error) {
-	q := s.Query
 	mLines := make([]scoreLine, len(objs))
-	for i, o := range objs {
-		mLines[i] = lineOf(s, o)
+	for i := range objs {
+		mLines[i] = lineOf(&s, &objs[i])
 	}
 	c, err := crossEvents(ctx, kc, s, mLines)
 	if err != nil {
 		return PreferenceResult{}, err
 	}
-	events, curAbove := c.events, c.curAbove // curAbove: objects above m in the current interval
+	defer c.release()
+	return sweepCrossings(s.Query, c, rankBefore, lambda), nil
+}
 
-	sort.Slice(events, func(i, j int) bool { return events[i].wt < events[j].wt })
+// sweepCrossings is the sweep of adjustBySweep over already-built
+// crossings; it sorts c.events and consumes c.curAbove.
+func sweepCrossings(q score.Query, c *crossings, rankBefore int, lambda float64) PreferenceResult {
+	c.sortEvents()
+	mLines, events, curAbove := c.mLines, c.events, c.curAbove // curAbove: objects above m in the current interval
 
 	// Candidate 0: keep w⃗, only enlarge k. Penalty λ·1 + (1−λ)·0 = λ.
 	best := PreferenceResult{
@@ -356,7 +396,7 @@ func adjustBySweep(ctx context.Context, kc index.Snapshot, s score.Scorer, objs 
 		prevWt = wt
 		gi = gj
 	}
-	return best, nil
+	return best
 }
 
 func min2(a, b, c float64) float64 {

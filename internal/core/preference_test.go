@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"github.com/yask-engine/yask/internal/dataset"
+	"github.com/yask-engine/yask/internal/geo"
 	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/score"
 	"github.com/yask-engine/yask/internal/settree"
@@ -32,12 +34,12 @@ func prefOracle(e *Engine, q score.Query, missing []object.ID, lambda float64) P
 	// initial weight — the same semantics the sweep realizes.
 	candidates := []float64{}
 	for _, m := range mObjs {
-		ml := lineOf(s, m)
+		ml := lineOf(&s, &m)
 		for _, o := range e.Collection().All() {
 			if o.ID == m.ID {
 				continue
 			}
-			if wt, ok := lineOf(s, o).crossing(ml); ok {
+			if wt, ok := lineOf(&s, &o).crossing(ml); ok {
 				if wt < q.W.Wt {
 					wt -= crossingNudge
 				} else {
@@ -165,7 +167,7 @@ func scanCrossEvents(c *object.Collection, s score.Scorer, mLines []scoreLine) *
 		if !c.Alive(o.ID) {
 			continue
 		}
-		line := lineOf(s, o)
+		line := lineOf(&s, &o)
 		for mi, ml := range mLines {
 			if o.ID != ml.id {
 				cs.add(mi, line)
@@ -178,8 +180,104 @@ func scanCrossEvents(c *object.Collection, s score.Scorer, mLines []scoreLine) *
 // TestAdjustPreferenceSweepVariantsAgree: the indexed crossing descent
 // finds exactly the crossings a full scan finds — the same events as a
 // multiset of (missing index, other ID) and the same starting counts of
-// objects above each missing object.
+// objects above each missing object — with the signature layer on and
+// off, on a deep small tree and a wide large one; and the adjustment the
+// engine returns is the one the sweep makes from the scan's crossings.
+// Two boundary cases ride along: competitors with exactly the missing
+// object's similarity but a lower spatial score (they tie at wt = 1 and
+// stay below, so the strict entry rule keeps them while they add
+// nothing), and a missing object with similarity 0, where no entry can
+// be proved below at wt = 1.
 func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
+	for _, cfg := range []struct {
+		n, fanout int
+		seeds     int64
+		k         int
+	}{
+		{n: 600, fanout: 8, seeds: 12, k: 5},
+		{n: 20000, fanout: 64, seeds: 4, k: 10},
+	} {
+		ds, err := dataset.Generate(dataset.DefaultConfig(cfg.n, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sigs := range []bool{true, false} {
+			name := fmt.Sprintf("n=%d/fanout=%d/signatures=%v", cfg.n, cfg.fanout, sigs)
+			t.Run(name, func(t *testing.T) {
+				opts := Options{MaxEntries: cfg.fanout, DisableSignatures: !sigs}
+				e := NewEngine(ds.Objects, opts)
+				for seed := int64(20); seed < 20+cfg.seeds; seed++ {
+					q, miss := prefWorkload(t, e, ds, seed, cfg.k, 1+int(seed)%3, 1+int(seed)%3)
+					if assertCrossingsAgree(t, e, q, miss) == 0 {
+						t.Fatalf("seed %d: no crossings, the comparison proves nothing", seed)
+					}
+				}
+				if cfg.n > 1000 {
+					return
+				}
+
+				// Equal similarity, lower spatial score: copies of a missing
+				// object's document at the far corner of the data space.
+				q, miss := prefWorkload(t, e, ds, 40, cfg.k, 2, 1)
+				m := e.Collection().Get(miss[0])
+				coll := cloneCollection(ds.Objects)
+				far := farCorner(coll.Space(), q.Loc)
+				for _, f := range []float64{0, 0.1, 0.2} {
+					loc := geo.Point{X: far.X + f*(m.Loc.X-far.X), Y: far.Y + f*(m.Loc.Y-far.Y)}
+					coll.Append(object.Object{Loc: loc, Doc: m.Doc, Name: "tie"})
+				}
+				et := NewEngine(coll, opts)
+				s := score.NewScorer(q, coll)
+				ml := lineOf(&s, &m)
+				ties := 0
+				for _, o := range coll.All() {
+					if l := lineOf(&s, &o); o.ID != m.ID && l.v1 == ml.v1 && l.v0 < ml.v0 {
+						ties++
+					}
+				}
+				if ties < 3 || ml.v1 <= 0 {
+					t.Fatalf("tie fixture: %d competitors tie the missing line %+v at wt = 1 from below", ties, ml)
+				}
+				assertCrossingsAgree(t, et, q, miss)
+
+				// A missing object sharing no query keyword: m1 = 0.
+				q, _ = prefWorkload(t, e, ds, 41, cfg.k, 2, 1)
+				var zero []object.ID
+				for _, id := range missingFromResult(e, q, 200) {
+					if o := e.Collection().Get(id); s.TSim(o) == 0 && len(zero) < 2 {
+						zero = append(zero, id)
+					}
+				}
+				if len(zero) == 0 {
+					t.Fatal("no missing object with similarity 0")
+				}
+				if assertCrossingsAgree(t, e, q, zero) == 0 {
+					t.Fatal("similarity-0 case: no crossings, the comparison proves nothing")
+				}
+			})
+		}
+	}
+}
+
+// farCorner returns the corner of r farthest from p.
+func farCorner(r geo.Rect, p geo.Point) geo.Point {
+	c := r.Min
+	if p.X-r.Min.X < r.Max.X-p.X {
+		c.X = r.Max.X
+	}
+	if p.Y-r.Min.Y < r.Max.Y-p.Y {
+		c.Y = r.Max.Y
+	}
+	return c
+}
+
+// assertCrossingsAgree checks one why-not question on e: the indexed
+// crossings equal scanCrossEvents' (events as a multiset, curAbove
+// exactly), and for λ ∈ {0.3, 0.5, 0.7} AdjustPreferenceCtx returns the
+// PreferenceResult that sweepCrossings makes from the scan. It returns
+// the number of crossing events.
+func assertCrossingsAgree(t *testing.T, e *Engine, q score.Query, miss []object.ID) int {
+	t.Helper()
 	type cross struct {
 		mIdx  int
 		other object.ID
@@ -191,37 +289,42 @@ func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
 		}
 		return m
 	}
-	ds, err := dataset.Generate(dataset.DefaultConfig(600, 12))
+	ctx := context.Background()
+	v, err := e.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds.Objects, Options{MaxEntries: 8})
-	for seed := int64(20); seed < 32; seed++ {
-		q, miss := prefWorkload(t, e, ds, seed, 5, 1+int(seed)%3, 1+int(seed)%3)
-		v, err := e.acquire()
+	w, err := e.validateWhyNot(ctx, v, q, miss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mLines := make([]scoreLine, len(w.objs))
+	for i := range w.objs {
+		mLines[i] = lineOf(&w.s, &w.objs[i])
+	}
+	got, err := crossEvents(ctx, v.kc, w.s, mLines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.release()
+	want := scanCrossEvents(e.Collection(), w.s, mLines)
+	if !reflect.DeepEqual(multiset(got), multiset(want)) {
+		t.Fatalf("q %+v missing %v: indexed events %v, scan %v", q, miss, multiset(got), multiset(want))
+	}
+	if !reflect.DeepEqual(got.curAbove, want.curAbove) {
+		t.Fatalf("q %+v missing %v: curAbove %v, scan %v", q, miss, got.curAbove, want.curAbove)
+	}
+	for _, lambda := range []float64{0.3, 0.5, 0.7} {
+		res, err := e.AdjustPreferenceCtx(ctx, q, miss, PreferenceOptions{Lambda: lambda})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := setScorer(v.set, q)
-		mLines := make([]scoreLine, len(miss))
-		for i, id := range miss {
-			mLines[i] = lineOf(s, e.Collection().Get(id))
-		}
-		got, err := crossEvents(context.Background(), v.kc, s, mLines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := scanCrossEvents(e.Collection(), s, mLines)
-		if len(want.events) == 0 {
-			t.Fatalf("seed %d: no crossings, the comparison proves nothing", seed)
-		}
-		if !reflect.DeepEqual(multiset(got), multiset(want)) {
-			t.Fatalf("seed %d: indexed events %v, scan %v", seed, multiset(got), multiset(want))
-		}
-		if !reflect.DeepEqual(got.curAbove, want.curAbove) {
-			t.Fatalf("seed %d: curAbove %v, scan %v", seed, got.curAbove, want.curAbove)
+		ref := sweepCrossings(q, scanCrossEvents(e.Collection(), w.s, mLines), w.worst, lambda)
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("q %+v missing %v λ=%v: AdjustPreferenceCtx %+v, swept from the scan %+v", q, miss, lambda, res, ref)
 		}
 	}
+	return len(want.events)
 }
 
 func TestAdjustPreferencePenaltyDecomposition(t *testing.T) {

@@ -65,10 +65,16 @@ type Snapshot interface {
 	// reference score line runs from m0 at wt=0 to m1 at wt=1, and the
 	// index must call visit for every object whose own line is not
 	// provably strictly below the reference over the whole interval.
-	// Subtrees provably strictly above at both ends may be reported
-	// wholesale through above(count) instead of being visited, when the
-	// family's augmentation can prove it. The reference object itself may
-	// be visited; callers filter by ID.
+	// Whatever it proves strictly below at both ends it may skip, a
+	// whole subtree from its augmentation or a single leaf entry from
+	// its exact spatial score and its keyword signature; such a line is
+	// neither above the reference nor crosses it, so the sweep gains
+	// nothing from it. Proofs must use strict comparisons in the float
+	// expressions of score.Scorer.Components, so skipping never changes
+	// the sweep. Subtrees provably strictly above at both ends may be
+	// reported wholesale through above(count) instead of being visited,
+	// when the family's augmentation can prove it. The reference object
+	// itself may be visited; callers filter by ID.
 	ForEachCross(cc Cancel, s score.Scorer, m0, m1 float64, visit func(object.Object), above func(count int))
 }
 

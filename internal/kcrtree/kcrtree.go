@@ -662,18 +662,37 @@ func (a *Arena) RankBounds(cc index.Cancel, s score.Scorer, refScore float64, ti
 // wt=1) over the whole weight interval is pruned; one provably strictly
 // above at both ends is reported wholesale through above(cnt); the rest
 // descend to object-level visits — the index-based analogue of the
-// paper's two range queries over segment endpoints.
+// paper's two range queries over segment endpoints. The same
+// below-at-both-ends rule then applies to each entry of a reached leaf,
+// from its exact spatial score and its entry signature (see
+// entryBelow), so an object the signature proves can never cross is
+// not visited either.
 //
 //yask:hotpath
 func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, visit func(object.Object), above func(int)) {
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, _, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
+	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
+	entries := f.AllEntries()
+	// No similarity is strictly below 0: with m1 ≤ 0 no entry can be
+	// proved below at wt = 1, so the per-entry probes would be waste.
+	pruneEntries := useSig && 0 < m1
 	sc.stack = index.PrunedDFS(f, cc, sc.stack,
 		func(n int32) {
-			for _, e := range f.Entries(n) {
-				visit(e.Item)
+			eLo, eHi := f.EntryRange(n)
+			if !pruneEntries {
+				for ei := eLo; ei < eHi; ei++ {
+					visit(entries[ei].Item)
+				}
+				return
+			}
+			leafBelow0 := 1-s.SDistRectMin(f.Rect(n)) < m0
+			for ei := eLo; ei < eHi; ei++ {
+				e := &entries[ei]
+				if !entryBelow(&s, e, &esigs[ei], &qs, m0, m1, leafBelow0, &sc.ctr) {
+					visit(e.Item)
+				}
 			}
 		},
 		func(c int32) bool {
@@ -718,6 +737,37 @@ func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, vi
 			return true
 		})
 	sc.ctr.Flush(f.Stats())
+}
+
+// entryBelow is ForEachCross's subtree prune applied to one leaf entry:
+// it reports whether the entry's score line is provably strictly below
+// the reference line at both ends of the weight interval, at wt = 0
+// from its exact spatial score 1 − SDist (or from the leaf's own bound,
+// when leafBelow0 already proves it for every entry) and at wt = 1 from
+// its signature alone: a signature disjoint from the query proves
+// TSim = 0, and SigSimUpperBound bounds it otherwise. Both comparisons
+// are strict and use the float expressions the sweep's score lines are
+// built from, so such a line is neither above the reference near
+// wt = 0 nor crosses it, and visiting it would add nothing. The caller
+// guarantees 0 < m1. Signature probes are counted in ctr.
+//
+//yask:hotpath
+func entryBelow(s *score.Scorer, e *rtree.LeafEntry[object.Object], esig *vocab.Signature, qs *vocab.QuerySig, m0, m1 float64, leafBelow0 bool, ctr *index.SigCounters) bool {
+	if !leafBelow0 && !(1-s.SDistAt(e.Item.Loc) < m0) {
+		return false
+	}
+	ctr.Probes++
+	if qs.Disjoint(esig) {
+		ctr.Hits++
+		return true
+	}
+	olen := len(e.Item.Doc)
+	if score.SigSimUpperBound(s.Query.Sim, qs.IntersectBound(esig), olen, olen, olen, qs.Len) < m1 {
+		ctr.Hits++
+		return true
+	}
+	ctr.Exact++
+	return false
 }
 
 // CountBetter returns the number of objects whose (score, ID) pair

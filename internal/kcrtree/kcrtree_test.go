@@ -6,6 +6,7 @@ import (
 
 	"github.com/yask-engine/yask/internal/dataset"
 	"github.com/yask-engine/yask/internal/geo"
+	"github.com/yask-engine/yask/internal/index"
 	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/rtree"
 	"github.com/yask-engine/yask/internal/score"
@@ -324,5 +325,50 @@ func TestEmptyIndex(t *testing.T) {
 	}
 	if lo, hi, _ := ix.RankBounds(s, 0.5, 0, 3); lo != 0 || hi != 0 {
 		t.Fatalf("RankBounds on empty = %d,%d", lo, hi)
+	}
+}
+
+// TestForEachCrossSkipsProvablyBelowEntries is the pruning regression
+// test of the crossing descent: over seeded missing lines at n = 20k,
+// the objects it visits whose line lies strictly below the missing line
+// at both wt = 0 and wt = 1 (which can never cross it) must stay a small
+// share of the visits with signatures on, where each entry's signature
+// can prove it. Without signatures that share is most of the visits,
+// which the test checks too, so the bound has something to catch.
+func TestForEachCrossSkipsProvablyBelowEntries(t *testing.T) {
+	ds := testDataset(t, 20000, 21)
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 12, Seed: 22, K: 10, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	for _, sigs := range []bool{true, false} {
+		a, err := BuildWith(ds.Objects, rtree.DefaultMaxEntries, sigs).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited, below := 0, 0
+		for _, q := range qs {
+			s := a.Scorer(q)
+			// Missing objects from ranks k+1 … k+10, as in a why-not session.
+			res := a.TopK(index.NoCancel, s, q.K+10, nil, nil)
+			for _, m := range res[q.K:] {
+				m0, m1 := 1-s.SDist(m.Obj), s.TSim(m.Obj)
+				a.ForEachCross(index.NoCancel, s, m0, m1,
+					func(o object.Object) {
+						visited++
+						if 1-s.SDist(o) < m0 && s.TSim(o) < m1 {
+							below++
+						}
+					},
+					func(int) {})
+			}
+		}
+		share := float64(below) / float64(visited)
+		t.Logf("signatures %v: %d visits, %d strictly below at both ends (%.1f%%)", sigs, visited, below, 100*share)
+		if sigs && share > 0.05 {
+			t.Errorf("signatures on: %.1f%% of visited objects are provably below, want ≤ 5%%", 100*share)
+		}
+		if !sigs && share < 0.5 {
+			t.Errorf("signatures off: only %.1f%% of visited objects are below; the fixture no longer shows the waste the entry rule removes", 100*share)
+		}
 	}
 }

@@ -182,6 +182,10 @@ func (v View) Len() int { return len(v.objs) }
 // LiveLen returns the number of live objects in the view.
 func (v View) LiveLen() int { return v.live }
 
+// Get returns the object with the given ID. It panics on IDs beyond
+// the view; tombstoned objects remain addressable.
+func (v View) Get(id ID) Object { return v.objs[id] }
+
 // Alive reports whether id is in range and not tombstoned in the view.
 func (v View) Alive(id ID) bool {
 	if int(id) >= len(v.objs) {

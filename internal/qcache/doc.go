@@ -2,10 +2,11 @@
 // LRU mapping (epoch identity, canonical query key) to computed
 // answers. Every answer the engine produces is a pure function of the
 // published snapshot it was computed against, and each published state
-// carries a process-wide unique epoch (rtree.NextEpoch), so an entry
-// keyed by the epoch it was computed at can never go stale: a refresh
-// or recovery publishes a new epoch and silently orphans the old
-// entries. Invalidation is free — eviction is the only policy.
+// carries a process-wide unique epoch (stamped by
+// rtree.SnapshotPublisher), so an entry keyed by the epoch it was
+// computed at can never go stale: a refresh or recovery publishes a new
+// epoch and silently orphans the old entries. Invalidation is free —
+// eviction is the only policy.
 //
 // The canonical query key is the query itself: keyword sets are interned
 // in sorted, deduplicated form at the API boundary (vocab.InternSet via

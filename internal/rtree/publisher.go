@@ -14,9 +14,9 @@ import (
 // refresh/recovery orphan stale entries for free.
 var epochCounter atomic.Uint64
 
-// NextEpoch returns the next process-wide epoch identity. Epoch 0 is
+// nextEpoch returns the next process-wide epoch identity. Epoch 0 is
 // never issued: it marks arenas frozen outside a publisher.
-func NextEpoch() uint64 { return epochCounter.Add(1) }
+func nextEpoch() uint64 { return epochCounter.Add(1) }
 
 // pubState is one published epoch: the tree, its frozen arena, and the
 // index-specific payload (the arena-scoped query wrapper of the index
@@ -80,7 +80,7 @@ func NewSnapshotPublisher[L, A any](t *Tree[L, A], wrap func(*Flat[L, A]) any) *
 // freeze.
 func NewMappedPublisher[L, A any](f *Flat[L, A], wrap func(*Flat[L, A]) any, thaw func(*Flat[L, A]) *Tree[L, A]) *SnapshotPublisher[L, A] {
 	p := &SnapshotPublisher[L, A]{wrap: wrap, thaw: thaw}
-	f.epoch = NextEpoch()
+	f.epoch = nextEpoch()
 	st := &pubState[L, A]{flat: f}
 	if p.wrap != nil {
 		st.payload = p.wrap(f)
@@ -109,7 +109,7 @@ func (p *SnapshotPublisher[L, A]) thawLocked() *Tree[L, A] {
 // (or, at construction, exclusive access).
 func (p *SnapshotPublisher[L, A]) publishLocked(t *Tree[L, A]) {
 	f := t.Freeze()
-	f.epoch = NextEpoch()
+	f.epoch = nextEpoch()
 	st := &pubState[L, A]{tree: t, flat: f}
 	if p.wrap != nil {
 		st.payload = p.wrap(f)

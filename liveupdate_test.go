@@ -90,6 +90,42 @@ func TestEngineInsertAndRemove(t *testing.T) {
 	}
 }
 
+// TestRankFollowsPublishedSnapshot: with mutations buffered, Rank
+// answers for what the published snapshot holds — an unpublished insert
+// is unknown, an object whose removal is still buffered keeps its rank —
+// until the refresh publishes both.
+func TestRankFollowsPublishedSnapshot(t *testing.T) {
+	e, err := NewEngineWith(liveTestObjects(), EngineOptions{RefreshEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{X: 0, Y: 0, Keywords: []string{"coffee"}, K: 2}
+	before, err := e.Rank(q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := e.Insert(Object{Name: "epsilon", X: 0, Y: 0, Keywords: []string{"coffee"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Remove(3); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := e.Rank(q, added); err == nil {
+		t.Fatalf("Rank of the unpublished insert = %d, want an error", r)
+	}
+	if r, err := e.Rank(q, 3); err != nil || r != before {
+		t.Fatalf("Rank of the buffered removal = %d, %v; want the published %d", r, err, before)
+	}
+	e.Refresh()
+	if _, err := e.Rank(q, 3); err == nil {
+		t.Fatal("Rank of the published removal returned a number")
+	}
+	if r, err := e.Rank(q, added); err != nil || r != 1 {
+		t.Fatalf("Rank of the published insert = %d, %v; want 1", r, err)
+	}
+}
+
 // TestConcurrentTopKDuringPublicMutations is the acceptance-criteria
 // race test at the public API: after Insert, a concurrent TopK returns
 // the new object with zero failed queries.

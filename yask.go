@@ -810,12 +810,7 @@ func (e *Engine) RankCtx(ctx context.Context, q Query, id ObjectID) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	if int(id) >= e.Len() {
-		return 0, fmt.Errorf("yask: unknown object ID %d", id)
-	}
-	if !e.core.Collection().Alive(object.ID(id)) {
-		return 0, fmt.Errorf("yask: object %d has been removed", id)
-	}
+	// The core checks the ID against the published snapshot it ranks on.
 	return e.core.RankCtx(ctx, sq, object.ID(id))
 }
 
