@@ -42,7 +42,7 @@ func (e *Engine) WeightProfileCtx(ctx context.Context, q score.Query, missing ob
 	if err != nil {
 		return nil, err
 	}
-	c, err := crossEvents(ctx, v.kc, w.s, []scoreLine{lineOf(&w.s, &w.objs[0])})
+	c, err := crossEvents(ctx, v.kc, w.s, []scoreLine{lineOf(&w.s, &w.objs[0])}, 0, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -53,7 +54,10 @@ type PreferenceResult struct {
 	// RankBefore is R(M, q): the worst missing-object rank under the
 	// initial query. RankAfter is R(M, q′) under the refined query.
 	RankBefore, RankAfter int
-	// Candidates is the number of candidate weight vectors evaluated.
+	// Candidates is the number of candidate weight vectors evaluated:
+	// the keep-w⃗ candidate and one per crossing group inside the
+	// penalty-feasible weight window (see prefWindow). Crossings outside
+	// it cannot win and are not evaluated.
 	Candidates int
 }
 
@@ -122,34 +126,45 @@ func (l scoreLine) crossing(m scoreLine) (float64, bool) {
 	return wt, true
 }
 
-// prefEvent is one crossing of a missing object's line.
+// prefEvent is one crossing of a missing object's line, kept small:
+// the sweep sorts thousands of them.
 type prefEvent struct {
 	wt       float64
-	mIdx     int       // index into the missing set
-	other    scoreLine // the line crossing the missing object's line
+	mIdx     int32     // index into the missing set
+	other    object.ID // the object whose line crosses the missing object's line
 	wasAbove bool      // other above missing before the crossing
 }
 
-// crossings is the sweep's input: every interior crossing of a
-// competitor's line with a missing object's line, and curAbove[mi], the
-// number of competitors above missing object mi just inside wt = 0.
-// Values come from newCrossings and go back through release once the
-// sweep is done with them.
+// crossings is the sweep's input for the weight window [lo, hi]: every
+// crossing of a competitor's line with a missing object's line inside
+// the window, and curAbove[mi], the number of competitors above missing
+// object mi just inside lo — after the crossings below lo, before those
+// from lo on. Values come from newCrossings and go back through release
+// once the sweep is done with them.
 type crossings struct {
 	mLines   []scoreLine
+	lo, hi   float64
 	events   []prefEvent
 	curAbove []int
+	// The descent's per-call state: the reference lines of one chunk of
+	// at most index.MaxCrossLines missing objects, the index of its
+	// first line in mLines, and the scorer the visited objects' lines
+	// are built with.
+	lines []index.CrossLine
+	base  int
+	s     score.Scorer
 }
 
-// crossingsPool recycles the events and curAbove buffers: a session's
-// descent appends tens of thousands of events, and growing that slice
-// afresh on every request is most of the sweep's garbage.
+// crossingsPool recycles the events, curAbove and line buffers: a
+// session's descent appends thousands of events, and growing those
+// slices afresh on every request is most of the sweep's garbage.
 var crossingsPool = sync.Pool{New: func() any { return new(crossings) }}
 
-// newCrossings returns empty crossings for mLines from the pool.
-func newCrossings(mLines []scoreLine) *crossings {
+// newCrossings returns empty crossings for mLines over the window
+// [lo, hi] from the pool.
+func newCrossings(mLines []scoreLine, lo, hi float64) *crossings {
 	c := crossingsPool.Get().(*crossings)
-	c.mLines = mLines
+	c.mLines, c.lo, c.hi = mLines, lo, hi
 	c.events = c.events[:0]
 	c.curAbove = slices.Grow(c.curAbove[:0], len(mLines))[:len(mLines)]
 	clear(c.curAbove)
@@ -159,6 +174,7 @@ func newCrossings(mLines []scoreLine) *crossings {
 // release returns c to the pool; c must not be used afterwards.
 func (c *crossings) release() {
 	c.mLines = nil
+	c.s = score.Scorer{}
 	crossingsPool.Put(c)
 }
 
@@ -170,35 +186,56 @@ func (c *crossings) sortEvents() {
 }
 
 // add folds one competitor line into missing object mi's events and
-// interval count.
+// its count at the window's low edge. A crossing inside the window is
+// an event; one below it has already happened at lo, so it flips the
+// count instead; one above it leaves the count as it is near wt = 0.
 func (c *crossings) add(mi int, line scoreLine) {
 	ml := c.mLines[mi]
-	above0 := line.aboveNear0(ml)
+	above := line.aboveNear0(ml)
 	if wt, ok := line.crossing(ml); ok {
-		c.events = append(c.events, prefEvent{wt: wt, mIdx: mi, other: line, wasAbove: above0})
+		switch {
+		case wt < c.lo:
+			above = !above
+		case wt <= c.hi:
+			c.events = append(c.events, prefEvent{wt: wt, mIdx: int32(mi), other: line.id, wasAbove: above})
+		}
 	}
-	if above0 {
+	if above {
 		c.curAbove[mi]++
 	}
 }
 
-// crossEvents builds the crossings of the missing lines with one
-// KcR-family descent per missing object, pruning subtrees whose score
-// bounds prove every object stays on one side of the missing line over
-// the whole weight interval — the index-based analogue of the paper's
-// two range queries. Missing objects are competitors of each other too,
-// so only m itself is skipped.
-func crossEvents(ctx context.Context, kc index.Snapshot, s score.Scorer, mLines []scoreLine) (*crossings, error) {
+// visit folds one object the descent reached into the events of every
+// line of the current chunk named in mask. Missing objects are
+// competitors of each other too, so only each line's own object is
+// skipped.
+func (c *crossings) visit(o *object.Object, mask uint64) {
+	line := lineOf(&c.s, o)
+	for ; mask != 0; mask &= mask - 1 {
+		if mi := c.base + bits.TrailingZeros64(mask); o.ID != c.mLines[mi].id {
+			c.add(mi, line)
+		}
+	}
+}
+
+// crossEvents builds the crossings of the missing lines inside the
+// weight window [lo, hi] with one KcR-family descent for all of them
+// (one per index.MaxCrossLines missing objects). The descent prunes,
+// per line, the subtrees whose score bounds keep every object on one
+// side of that line over the window — the index-based analogue of the
+// paper's two range queries — and counts the ones above wholesale.
+func crossEvents(ctx context.Context, kc index.Snapshot, s score.Scorer, mLines []scoreLine, lo, hi float64) (*crossings, error) {
 	cc := index.CancelOf(ctx)
-	c := newCrossings(mLines)
-	for mi, ml := range mLines {
-		kc.ForEachCross(cc, s, ml.v0, ml.v1,
-			func(o object.Object) {
-				if o.ID != ml.id {
-					c.add(mi, lineOf(&s, &o))
-				}
-			},
-			func(count int) { c.curAbove[mi] += count })
+	c := newCrossings(mLines, lo, hi)
+	c.s = s
+	for c.base = 0; c.base < len(mLines); c.base += index.MaxCrossLines {
+		c.lines = c.lines[:0]
+		for _, ml := range mLines[c.base:min(len(mLines), c.base+index.MaxCrossLines)] {
+			c.lines = append(c.lines, index.NewCrossLine(ml.v0, ml.v1, lo, hi))
+		}
+		kc.ForEachCrossLines(cc, s, c.lines,
+			func(o *object.Object, mask uint64) { c.visit(o, mask) },
+			func(li, count int) { c.curAbove[c.base+li] += count })
 		if err := ctx.Err(); err != nil {
 			// A truncated descent means missing crossing events: the
 			// sweep would compute wrong ranks, so bail out here.
@@ -275,9 +312,39 @@ func prefPenalty(q score.Query, lambda float64, rankBefore, rankAfter int, wtNew
 	w2 := score.WeightsFromWt(wtNew)
 	deltaW = q.W.Dist(w2)
 	kNorm := float64(rankBefore - q.K)
-	wNorm := math.Sqrt(1 + q.W.Ws*q.W.Ws + q.W.Wt*q.W.Wt)
-	penalty = lambda*float64(deltaK)/kNorm + (1-lambda)*deltaW/wNorm
+	penalty = lambda*float64(deltaK)/kNorm + (1-lambda)*deltaW/weightNorm(q.W)
 	return penalty, deltaK, deltaW
+}
+
+// weightNorm is Eqn 3's normalizer of the weight movement ‖Δw⃗‖.
+func weightNorm(w score.Weights) float64 {
+	return math.Sqrt(1 + w.Ws*w.Ws + w.Wt*w.Wt)
+}
+
+// windowSlack widens the penalty-feasible window on both sides. It is
+// far above the rounding of the window's own arithmetic and of Eqn 3,
+// so every crossing whose candidate can win stays inside, with the
+// neighbours within a crossingNudge of it that set its nudge.
+const windowSlack = 1e-6
+
+// prefWindow returns the penalty-feasible weight window [lo, hi] ⊆
+// [0, 1]: the keep-w⃗ candidate already costs λ, and a candidate at wt
+// costs at least its weight term (1−λ)·‖q.w⃗ − w⃗(wt)‖/wNorm (the same
+// terms as prefPenalty), so only weights where that term is below λ can
+// beat it. With a = 1 − ws and b = wt₀, ‖q.w⃗ − w⃗(x)‖² =
+// 2(x − c)² + (a − b)²/2 for c = (a + b)/2, so the window is an
+// interval around c, widened by windowSlack and clipped to [0, 1].
+// λ = 1 costs nothing for moving and gives [0, 1]; the caller handles
+// λ = 0, where no weight can win.
+func prefWindow(w score.Weights, lambda float64) (lo, hi float64) {
+	if lambda >= 1 {
+		return 0, 1
+	}
+	r := lambda * weightNorm(w) / (1 - lambda)
+	a, b := 1-w.Ws, w.Wt
+	c := (a + b) / 2
+	h := math.Sqrt(max(0, r*r/2-(a-b)*(a-b)/4))
+	return max(0, c-h-windowSlack), min(1, c+h+windowSlack)
 }
 
 // crossingNudge is how far past a crossing point a candidate weight is
@@ -291,16 +358,22 @@ func prefPenalty(q score.Query, lambda float64, rankBefore, rankAfter int, wtNew
 const crossingNudge = 1e-9
 
 // adjustBySweep implements the exact algorithm of [5]: build the crossing
-// events of every missing object's line, sweep them in wt order
-// maintaining each missing object's rank incrementally (the rank update
-// theorem), and evaluate penalty Eqn 3 at every intersection, nudged one
-// epsilon past the crossing away from the initial weight.
+// events of every missing object's line inside the penalty-feasible
+// window, sweep them in wt order maintaining each missing object's rank
+// incrementally (the rank update theorem), and evaluate penalty Eqn 3 at
+// every intersection, nudged one epsilon past the crossing away from the
+// initial weight.
 func adjustBySweep(ctx context.Context, kc index.Snapshot, s score.Scorer, objs []object.Object, rankBefore int, lambda float64) (PreferenceResult, error) {
+	if lambda == 0 {
+		// Moving w⃗ is all the penalty: nothing beats keeping it.
+		return keepWeights(s.Query, rankBefore, lambda), nil
+	}
 	mLines := make([]scoreLine, len(objs))
 	for i := range objs {
 		mLines[i] = lineOf(&s, &objs[i])
 	}
-	c, err := crossEvents(ctx, kc, s, mLines)
+	lo, hi := prefWindow(s.Query.W, lambda)
+	c, err := crossEvents(ctx, kc, s, mLines, lo, hi)
 	if err != nil {
 		return PreferenceResult{}, err
 	}
@@ -308,13 +381,9 @@ func adjustBySweep(ctx context.Context, kc index.Snapshot, s score.Scorer, objs 
 	return sweepCrossings(s.Query, c, rankBefore, lambda), nil
 }
 
-// sweepCrossings is the sweep of adjustBySweep over already-built
-// crossings; it sorts c.events and consumes c.curAbove.
-func sweepCrossings(q score.Query, c *crossings, rankBefore int, lambda float64) PreferenceResult {
-	c.sortEvents()
-	mLines, events, curAbove := c.mLines, c.events, c.curAbove // curAbove: objects above m in the current interval
-
-	// Candidate 0: keep w⃗, only enlarge k. Penalty λ·1 + (1−λ)·0 = λ.
+// keepWeights is candidate 0: keep w⃗, only enlarge k to the worst
+// missing rank. Its penalty is λ·1 + (1−λ)·0 = λ.
+func keepWeights(q score.Query, rankBefore int, lambda float64) PreferenceResult {
 	best := PreferenceResult{
 		Refined:    q.WithWeights(q.W),
 		Penalty:    lambda,
@@ -325,6 +394,17 @@ func sweepCrossings(q score.Query, c *crossings, rankBefore int, lambda float64)
 		Candidates: 1,
 	}
 	best.Refined.K = rankBefore
+	return best
+}
+
+// sweepCrossings is the sweep of adjustBySweep over already-built
+// crossings; it sorts c.events and consumes c.curAbove. It sweeps
+// c's window: the nudges of its first and last crossings stay inside
+// [c.lo, c.hi].
+func sweepCrossings(q score.Query, c *crossings, rankBefore int, lambda float64) PreferenceResult {
+	c.sortEvents()
+	mLines, events, curAbove := c.mLines, c.events, c.curAbove // curAbove: objects above m in the current interval
+	best := keepWeights(q, rankBefore, lambda)
 
 	update := func(wt float64, rankAfter int) {
 		pen, dk, dw := prefPenalty(q, lambda, rankBefore, rankAfter, wt)
@@ -347,14 +427,14 @@ func sweepCrossings(q score.Query, c *crossings, rankBefore int, lambda float64)
 	// curAbove always holds the interval counts between the previous
 	// group and the current one.
 	wt0 := q.W.Wt
-	prevWt := 0.0
+	prevWt := c.lo
 	for gi := 0; gi < len(events); {
 		gj := gi
 		wt := events[gi].wt
 		for gj < len(events) && events[gj].wt == wt {
 			gj++
 		}
-		nextWt := 1.0
+		nextWt := c.hi
 		if gj < len(events) {
 			nextWt = events[gj].wt
 		}

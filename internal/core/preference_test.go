@@ -9,9 +9,11 @@ import (
 
 	"github.com/yask-engine/yask/internal/dataset"
 	"github.com/yask-engine/yask/internal/geo"
+	"github.com/yask-engine/yask/internal/index"
 	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/score"
 	"github.com/yask-engine/yask/internal/settree"
+	"github.com/yask-engine/yask/internal/vocab"
 )
 
 // prefOracle computes the exact minimum-penalty preference refinement by
@@ -124,6 +126,53 @@ func TestAdjustPreferenceRevivesMissing(t *testing.T) {
 	}
 }
 
+// TestAdjustPreferenceRevivalProperty guards the defining property of
+// Definition 2 over seeded why-not sessions: the top-k of the returned
+// refined query, on the same published view, contains every missing
+// object. Sessions mirror the served workload — one to three missing
+// objects from ranks k+1 … k+10 — at λ ∈ {0.3, 0.5, 0.7}, with the
+// signature layer on and off.
+func TestAdjustPreferenceRevivalProperty(t *testing.T) {
+	ds, err := dataset.Generate(dataset.DefaultConfig(3000, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sigs := range []bool{true, false} {
+		e := NewEngine(ds.Objects, Options{DisableSignatures: !sigs})
+		sessions := 0
+		for seed := int64(0); seed < 100; seed++ {
+			q, _ := prefWorkload(t, e, ds, seed, 3+int(seed)%8, 1+int(seed)%3, 0)
+			ranks := missingFromResult(e, q, 10)
+			miss := []object.ID{ranks[int(seed)%10]}
+			for i := 1; i < 1+int(seed)%3; i++ {
+				miss = append(miss, ranks[(int(seed)+3*i)%10])
+			}
+			for _, lambda := range []float64{0.3, 0.5, 0.7} {
+				res, err := e.AdjustPreference(q, miss, PreferenceOptions{Lambda: lambda})
+				if err != nil {
+					t.Fatalf("seed %d λ=%v: %v", seed, lambda, err)
+				}
+				top, err := e.TopK(res.Refined)
+				if err != nil {
+					t.Fatalf("seed %d λ=%v: refined query invalid: %v", seed, lambda, err)
+				}
+				in := map[object.ID]bool{}
+				for _, r := range top {
+					in[r.Obj.ID] = true
+				}
+				for _, id := range miss {
+					if !in[id] {
+						t.Errorf("signatures %v seed %d λ=%v: missing object %d not in the top-%d of the refined query %+v",
+							sigs, seed, lambda, id, res.Refined.K, res.Refined.W)
+					}
+				}
+				sessions++
+			}
+		}
+		t.Logf("signatures %v: %d sessions checked", sigs, sessions)
+	}
+}
+
 func TestAdjustPreferenceSweepMatchesOracle(t *testing.T) {
 	e, ds := testEngine(t, 250, 11)
 	for seed := int64(0); seed < 10; seed++ {
@@ -158,11 +207,12 @@ func assertPreferenceMatchesOracle(t *testing.T, e *Engine, q score.Query, miss 
 	}
 }
 
-// scanCrossEvents is the full-scan reference for crossEvents: it scores
-// every live object of the collection and folds its line into every
-// missing object's crossings, with no index pruning.
-func scanCrossEvents(c *object.Collection, s score.Scorer, mLines []scoreLine) *crossings {
-	cs := &crossings{mLines: mLines, curAbove: make([]int, len(mLines))}
+// scanCrossEvents is the full-scan reference for crossEvents over the
+// weight window [lo, hi]: it scores every live object of the collection
+// and folds its line into every missing object's crossings, with no
+// index pruning.
+func scanCrossEvents(c *object.Collection, s score.Scorer, mLines []scoreLine, lo, hi float64) *crossings {
+	cs := &crossings{mLines: mLines, lo: lo, hi: hi, curAbove: make([]int, len(mLines))}
 	for _, o := range c.All() {
 		if !c.Alive(o.ID) {
 			continue
@@ -177,25 +227,37 @@ func scanCrossEvents(c *object.Collection, s score.Scorer, mLines []scoreLine) *
 	return cs
 }
 
+// prefLambdas are the penalty preferences the exactness suite sweeps:
+// both extremes (λ = 0 answers without a descent, λ = 1 takes the whole
+// interval) and three windows in between.
+var prefLambdas = []float64{0, 0.3, 0.5, 0.7, 1}
+
 // TestAdjustPreferenceSweepVariantsAgree: the indexed crossing descent
 // finds exactly the crossings a full scan finds — the same events as a
-// multiset of (missing index, other ID) and the same starting counts of
-// objects above each missing object — with the signature layer on and
-// off, on a deep small tree and a wide large one; and the adjustment the
-// engine returns is the one the sweep makes from the scan's crossings.
-// Two boundary cases ride along: competitors with exactly the missing
-// object's similarity but a lower spatial score (they tie at wt = 1 and
-// stay below, so the strict entry rule keeps them while they add
-// nothing), and a missing object with similarity 0, where no entry can
-// be proved below at wt = 1.
+// multiset of (missing index, other ID) and the same counts of objects
+// above each missing object at the window's low edge — over the whole
+// interval and over every λ's penalty-feasible window, with the
+// signature layer on and off, on a deep small tree and a wide large
+// one, for seeded questions at the default weights with |M| ≤ 3 and,
+// for the first seeds, again at initial weights wt₀ ∈ {0.1, 0.5, 0.9}
+// and |M| ∈ {1, 2, 4}; and the adjustment the engine returns is the one the sweep makes from
+// the scan's crossings over the whole interval (see
+// assertCrossingsAgree). Three boundary cases ride along: competitors
+// with exactly the missing object's similarity but a lower spatial score
+// (they tie at wt = 1 and stay below, so the strict entry rule keeps
+// them while they add nothing), a missing object with similarity 0,
+// where no entry can be proved below at wt = 1, and 65 missing objects,
+// one more than a descent takes at once.
 func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
 	for _, cfg := range []struct {
 		n, fanout int
-		seeds     int64
-		k         int
+		// seeds questions at the default weights; the first gridSeeds
+		// of them are asked again over the wt₀ × |M| grid.
+		seeds, gridSeeds int64
+		k                int
 	}{
-		{n: 600, fanout: 8, seeds: 12, k: 5},
-		{n: 20000, fanout: 64, seeds: 4, k: 10},
+		{n: 600, fanout: 8, seeds: 12, gridSeeds: 4, k: 5},
+		{n: 20000, fanout: 64, seeds: 4, gridSeeds: 2, k: 10},
 	} {
 		ds, err := dataset.Generate(dataset.DefaultConfig(cfg.n, 12))
 		if err != nil {
@@ -210,6 +272,18 @@ func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
 					q, miss := prefWorkload(t, e, ds, seed, cfg.k, 1+int(seed)%3, 1+int(seed)%3)
 					if assertCrossingsAgree(t, e, q, miss) == 0 {
 						t.Fatalf("seed %d: no crossings, the comparison proves nothing", seed)
+					}
+				}
+				for seed := int64(20); seed < 20+cfg.gridSeeds; seed++ {
+					for _, wt0 := range []float64{0.1, 0.5, 0.9} {
+						for _, nMiss := range []int{1, 2, 4} {
+							q, _ := prefWorkload(t, e, ds, seed, cfg.k, 1+int(seed)%3, 0)
+							q.W = score.WeightsFromWt(wt0)
+							miss := missingFromResult(e, q, nMiss)
+							if assertCrossingsAgree(t, e, q, miss) == 0 {
+								t.Fatalf("seed %d wt₀ %v |M| %d: no crossings, the comparison proves nothing", seed, wt0, nMiss)
+							}
+						}
 					}
 				}
 				if cfg.n > 1000 {
@@ -254,7 +328,102 @@ func TestAdjustPreferenceSweepVariantsAgree(t *testing.T) {
 				if assertCrossingsAgree(t, e, q, zero) == 0 {
 					t.Fatal("similarity-0 case: no crossings, the comparison proves nothing")
 				}
+
+				// Two chunks of reference lines: 64 in one descent, then 1.
+				q, miss = prefWorkload(t, e, ds, 42, cfg.k, 2, index.MaxCrossLines+1)
+				if assertCrossingsAgree(t, e, q, miss) == 0 {
+					t.Fatal("65 missing objects: no crossings, the comparison proves nothing")
+				}
 			})
+		}
+	}
+}
+
+// TestAdjustPreferenceWindowEdgeCrossings places competitors whose
+// lines cross a missing object's line 1e-12 outside and inside both
+// edges of the λ = 0.3 penalty-feasible window. The two inside must be
+// events of the windowed descent and the two outside must not; the ones
+// below the low edge are folded into the starting count instead. The
+// crossings, the counts and the refinement must still match the full
+// scan, with signatures on and off.
+func TestAdjustPreferenceWindowEdgeCrossings(t *testing.T) {
+	const lambda = 0.3
+	ds, err := dataset.Generate(dataset.DefaultConfig(600, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, miss := prefWorkload(t, NewEngine(ds.Objects, Options{MaxEntries: 8}), ds, 43, 5, 2, 1)
+	lo, hi := prefWindow(q.W, lambda)
+	if !(0 < lo && hi < 1) {
+		t.Fatalf("window [%v, %v] has no interior edge", lo, hi)
+	}
+	coll := cloneCollection(ds.Objects)
+	s := score.NewScorer(q, coll)
+	m := coll.Get(miss[0])
+	ml := lineOf(&s, &m)
+	// A competitor with document doc runs from v0 to t1 = TSim(doc) and
+	// meets the missing line at x when
+	// v0 = (ml.v0 − x·t1 + x·(ml.v1 − ml.v0)) / (1 − x). Each target
+	// takes the existing document whose v0 can be placed inside the data
+	// space with the steepest crossing, so the crossing lands within
+	// rounding of x.
+	far := farCorner(coll.Space(), q.Loc)
+	reach := q.Loc.Dist(far)
+	targets := []struct {
+		x      float64
+		inside bool
+	}{{lo - 1e-12, false}, {lo + 1e-12, true}, {hi - 1e-12, true}, {hi + 1e-12, false}}
+	ids := make([]object.ID, len(targets))
+	for i, tg := range targets {
+		var doc vocab.KeywordSet
+		v0, steep := 0.0, 0.0
+		for _, o := range coll.All() {
+			t1 := s.TSim(o)
+			c := (ml.v0 - tg.x*t1 + tg.x*(ml.v1-ml.v0)) / (1 - tg.x)
+			if d := math.Abs((t1 - c) - (ml.v1 - ml.v0)); c <= 1 && (1-c)*s.MaxDist <= reach && d > steep {
+				doc, v0, steep = o.Doc, c, d
+			}
+		}
+		if steep < 0.05 {
+			t.Fatalf("no document places a crossing at %v", tg.x)
+		}
+		f := (1 - v0) * s.MaxDist / reach
+		ids[i] = coll.Append(object.Object{
+			Loc:  geo.Point{X: q.Loc.X + f*(far.X-q.Loc.X), Y: q.Loc.Y + f*(far.Y-q.Loc.Y)},
+			Doc:  doc,
+			Name: "edge",
+		})
+	}
+	if s2 := score.NewScorer(q, coll); s2.MaxDist != s.MaxDist {
+		t.Fatalf("the fixture moved the normalization constant %v → %v", s.MaxDist, s2.MaxDist)
+	}
+	for i, tg := range targets {
+		o := coll.Get(ids[i])
+		wt, ok := lineOf(&s, &o).crossing(ml)
+		if !ok || (lo <= wt && wt <= hi) != tg.inside || math.Abs(wt-tg.x) > 1e-13 {
+			t.Fatalf("competitor %d crosses at %v (%v), want %v, inside the window [%v, %v] = %v", i, wt, ok, tg.x, lo, hi, tg.inside)
+		}
+	}
+	for _, sigs := range []bool{true, false} {
+		e := NewEngine(coll, Options{MaxEntries: 8, DisableSignatures: !sigs})
+		assertCrossingsAgree(t, e, q, miss)
+		v, err := e.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := crossEvents(context.Background(), v.kc, s, []scoreLine{ml}, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := map[object.ID]bool{}
+		for _, ev := range c.events {
+			events[ev.other] = true
+		}
+		c.release()
+		for i, tg := range targets {
+			if events[ids[i]] != tg.inside {
+				t.Errorf("signatures %v: competitor %d crossing at %v is an event: %v, want %v", sigs, i, tg.x, events[ids[i]], tg.inside)
+			}
 		}
 	}
 }
@@ -271,11 +440,14 @@ func farCorner(r geo.Rect, p geo.Point) geo.Point {
 	return c
 }
 
-// assertCrossingsAgree checks one why-not question on e: the indexed
+// assertCrossingsAgree checks one why-not question on e. The indexed
 // crossings equal scanCrossEvents' (events as a multiset, curAbove
-// exactly), and for λ ∈ {0.3, 0.5, 0.7} AdjustPreferenceCtx returns the
-// PreferenceResult that sweepCrossings makes from the scan. It returns
-// the number of crossing events.
+// exactly) over the whole interval and over the window of every λ in
+// prefLambdas. For each λ, AdjustPreferenceCtx returns the
+// PreferenceResult that sweepCrossings makes from the scan over the
+// whole interval: every field bit-identical except Candidates, which
+// counts only the window's candidates and may only be smaller. It
+// returns the number of crossing events over the whole interval.
 func assertCrossingsAgree(t *testing.T, e *Engine, q score.Query, miss []object.ID) int {
 	t.Helper()
 	type cross struct {
@@ -285,7 +457,7 @@ func assertCrossingsAgree(t *testing.T, e *Engine, q score.Query, miss []object.
 	multiset := func(cs *crossings) map[cross]int {
 		m := map[cross]int{}
 		for _, ev := range cs.events {
-			m[cross{ev.mIdx, ev.other.id}]++
+			m[cross{int(ev.mIdx), ev.other}]++
 		}
 		return m
 	}
@@ -302,29 +474,43 @@ func assertCrossingsAgree(t *testing.T, e *Engine, q score.Query, miss []object.
 	for i := range w.objs {
 		mLines[i] = lineOf(&w.s, &w.objs[i])
 	}
-	got, err := crossEvents(ctx, v.kc, w.s, mLines)
-	if err != nil {
-		t.Fatal(err)
+	agree := func(lo, hi float64) {
+		t.Helper()
+		got, err := crossEvents(ctx, v.kc, w.s, mLines, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.release()
+		want := scanCrossEvents(e.Collection(), w.s, mLines, lo, hi)
+		if !reflect.DeepEqual(multiset(got), multiset(want)) {
+			t.Fatalf("q %+v missing %v window [%v, %v]: indexed events %v, scan %v", q, miss, lo, hi, multiset(got), multiset(want))
+		}
+		if !reflect.DeepEqual(got.curAbove, want.curAbove) {
+			t.Fatalf("q %+v missing %v window [%v, %v]: curAbove %v, scan %v", q, miss, lo, hi, got.curAbove, want.curAbove)
+		}
 	}
-	defer got.release()
-	want := scanCrossEvents(e.Collection(), w.s, mLines)
-	if !reflect.DeepEqual(multiset(got), multiset(want)) {
-		t.Fatalf("q %+v missing %v: indexed events %v, scan %v", q, miss, multiset(got), multiset(want))
-	}
-	if !reflect.DeepEqual(got.curAbove, want.curAbove) {
-		t.Fatalf("q %+v missing %v: curAbove %v, scan %v", q, miss, got.curAbove, want.curAbove)
-	}
-	for _, lambda := range []float64{0.3, 0.5, 0.7} {
+	agree(0, 1)
+	for _, lambda := range prefLambdas {
+		if lambda > 0 {
+			agree(prefWindow(q.W, lambda))
+		}
 		res, err := e.AdjustPreferenceCtx(ctx, q, miss, PreferenceOptions{Lambda: lambda})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := sweepCrossings(q, scanCrossEvents(e.Collection(), w.s, mLines), w.worst, lambda)
-		if !reflect.DeepEqual(res, ref) {
-			t.Fatalf("q %+v missing %v λ=%v: AdjustPreferenceCtx %+v, swept from the scan %+v", q, miss, lambda, res, ref)
+		ref := sweepCrossings(q, scanCrossEvents(e.Collection(), w.s, mLines, 0, 1), w.worst, lambda)
+		if res.Candidates > ref.Candidates {
+			t.Fatalf("q %+v missing %v λ=%v: %d candidates, more than the full sweep's %d", q, miss, lambda, res.Candidates, ref.Candidates)
+		}
+		bits := func(r PreferenceResult) [4]uint64 {
+			return [4]uint64{math.Float64bits(r.Penalty), math.Float64bits(r.DeltaW), math.Float64bits(r.Refined.W.Ws), math.Float64bits(r.Refined.W.Wt)}
+		}
+		res.Candidates = ref.Candidates
+		if !reflect.DeepEqual(res, ref) || bits(res) != bits(ref) {
+			t.Fatalf("q %+v missing %v λ=%v: AdjustPreferenceCtx %+v, swept from the full scan %+v", q, miss, lambda, res, ref)
 		}
 	}
-	return len(want.events)
+	return len(scanCrossEvents(e.Collection(), w.s, mLines, 0, 1).events)
 }
 
 func TestAdjustPreferencePenaltyDecomposition(t *testing.T) {

@@ -74,8 +74,31 @@ type Snapshot interface {
 	// the sweep. Subtrees provably strictly above at both ends may be
 	// reported wholesale through above(count) instead of being visited,
 	// when the family's augmentation can prove it. The reference object
-	// itself may be visited; callers filter by ID.
+	// itself may be visited; callers filter by ID. It is
+	// ForEachCrossLines for the one line (m0, m1) over the window
+	// [0, 1].
 	ForEachCross(cc Cancel, s score.Scorer, m0, m1 float64, visit func(object.Object), above func(count int))
+
+	// ForEachCrossLines is the crossing descent for up to MaxCrossLines
+	// reference lines at once, each over its own weight window: one
+	// traversal serves every missing object of a preference adjustment.
+	// Each node decides each line still open for it. A subtree provably
+	// strictly below a line over that line's window is dropped for the
+	// line; one provably strictly above it is reported wholesale through
+	// above(i, count) for lines[i], when the family's augmentation can
+	// prove it. The other lines descend with the subtree. visit receives
+	// each object reached for at least one line once, with the mask of
+	// the lines (bit i for lines[i]) it was not settled for; a family
+	// may drop lines for single leaf entries by the same below rule,
+	// from the entry's exact spatial score and signature bound.
+	// Decisions at the window edges 0 and 1 use strict comparisons in
+	// the float expressions of score.Scorer.Components; interior edges
+	// compare with a 1e-9 margin, far above their rounding, so settling
+	// a subtree never changes the crossings, or the order at the
+	// window's low edge, that the caller computes from exact lines.
+	// The object is passed by pointer into the snapshot and must not be
+	// modified or retained.
+	ForEachCrossLines(cc Cancel, s score.Scorer, lines []CrossLine, visit func(o *object.Object, mask uint64), above func(line, count int))
 }
 
 // Provider owns one index's lifecycle: building, the managed mutation

@@ -97,25 +97,38 @@ func ScoreEntryCounted(s *score.Scorer, e *rtree.LeafEntry[object.Object], esigs
 	return s.Score(e.Item), true
 }
 
+// DFSFrame is one PrunedDFS stack element: a node and the mask of the
+// caller's questions still open for its subtree.
+type DFSFrame struct {
+	Node int32
+	Mask uint64
+}
+
 // PrunedDFS is the one pruned depth-first traversal driver the rank
 // and crossing primitives of every index family share: an explicit
 // stack from the caller's pooled scratch, a per-child decision
-// callback — descend (true) or not (false: the caller pruned the
-// subtree or accounted for it wholesale from its augmentation) — and a
-// leaf callback receiving every reached leaf node. Node accesses are
-// recorded into the arena's stats; the (drained) stack's backing
-// storage is returned for the caller to pool.
+// callback and a leaf callback receiving every reached leaf node. A
+// descent may decide up to 64 questions at once (the crossing descent
+// takes one per reference line; a rank descent asks one, with root
+// mask 1): every frame carries the mask of questions its subtree is
+// still open for, starting from root at the root node. child receives
+// a child node and its parent's mask and returns the questions still
+// open below it, having settled the others itself (pruned, or
+// accounted for wholesale from the augmentation); a zero mask prunes
+// the child. leaf receives every reached leaf with its mask. Node
+// accesses are recorded into the arena's stats; the (drained) stack's
+// backing storage is returned for the caller to pool.
 //
 // The traversal polls cc every CheckInterval node visits and stops
 // early once it trips; the partial visit set is meaningless then, and
 // the caller (which owns the context behind cc) must discard it.
 //
 //yask:hotpath
-func PrunedDFS[A any](f *rtree.Flat[object.Object, A], cc Cancel, stack []int32, leaf func(n int32), child func(c int32) bool) []int32 {
-	if f.Empty() {
+func PrunedDFS[A any](f *rtree.Flat[object.Object, A], cc Cancel, stack []DFSFrame, root uint64, leaf func(n int32, mask uint64), child func(c int32, mask uint64) uint64) []DFSFrame {
+	if f.Empty() || root == 0 {
 		return stack[:0]
 	}
-	stack = append(stack[:0], 0) //yask:allocok(pooled scratch; grows only on a pool miss)
+	stack = append(stack[:0], DFSFrame{Node: 0, Mask: root}) //yask:allocok(pooled scratch; grows only on a pool miss)
 	accesses := int64(0)
 	countdown := CheckInterval
 	for len(stack) > 0 {
@@ -125,17 +138,17 @@ func PrunedDFS[A any](f *rtree.Flat[object.Object, A], cc Cancel, stack []int32,
 			}
 			countdown = CheckInterval
 		}
-		n := stack[len(stack)-1]
+		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		accesses++
-		if f.IsLeaf(n) {
-			leaf(n)
+		if f.IsLeaf(fr.Node) {
+			leaf(fr.Node, fr.Mask)
 			continue
 		}
-		lo, hi := f.Children(n)
+		lo, hi := f.Children(fr.Node)
 		for c := lo; c < hi; c++ {
-			if child(c) {
-				stack = append(stack, c) //yask:allocok(pooled scratch; growth is amortized across queries)
+			if m := child(c, fr.Mask); m != 0 {
+				stack = append(stack, DFSFrame{Node: c, Mask: m}) //yask:allocok(pooled scratch; growth is amortized across queries)
 			}
 		}
 	}

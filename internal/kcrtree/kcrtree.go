@@ -20,6 +20,7 @@
 package kcrtree
 
 import (
+	"math/bits"
 	"sync"
 
 	"github.com/yask-engine/yask/internal/index"
@@ -192,7 +193,7 @@ type Arena struct {
 
 // rankScratch is the reusable traversal state of one query.
 type rankScratch struct {
-	stack  []int32
+	stack  []index.DFSFrame
 	frames []depthFrame
 	nodes  *pqueue.Queue[index.NodeEntry]
 	cand   *pqueue.Queue[score.Result]
@@ -213,7 +214,7 @@ func (ix *Index) getScratch() *rankScratch {
 		return sc
 	}
 	return &rankScratch{ //yask:allocok(pool miss: one-time scratch construction, amortized across queries)
-		stack:  make([]int32, 0, 64),                         //yask:allocok(pool miss construction)
+		stack:  make([]index.DFSFrame, 0, 64),                //yask:allocok(pool miss construction)
 		frames: make([]depthFrame, 0, 64),                    //yask:allocok(pool miss construction)
 		nodes:  pqueue.NewWithCapacity(index.NodeOrder, 64),  //yask:allocok(pool miss construction)
 		cand:   pqueue.NewWithCapacity(score.WorstFirst, 16), //yask:allocok(pool miss construction)
@@ -555,8 +556,8 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	entries := f.AllEntries()
 	count := 0
-	sc.stack = index.PrunedDFS(f, cc, sc.stack,
-		func(n int32) {
+	sc.stack = index.PrunedDFS(f, cc, sc.stack, 1,
+		func(n int32, _ uint64) {
 			eLo, eHi := f.EntryRange(n)
 			for ei := eLo; ei < eHi; ei++ {
 				e := &entries[ei]
@@ -566,16 +567,16 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 				}
 			}
 		},
-		func(c int32) bool {
+		func(c int32, open uint64) uint64 {
 			lo, hi := ix.boundsAt(f, s, &qs, useSig, c, refScore, &sc.ctr)
 			if hi < refScore {
-				return false // nothing below can beat the reference
+				return 0 // nothing below can beat the reference
 			}
 			if lo > refScore {
 				count += int(f.Aug(c).Cnt) // everything below beats it
-				return false
+				return 0
 			}
-			return true
+			return open
 		})
 	sc.ctr.Flush(f.Stats())
 	return count
@@ -656,49 +657,91 @@ func (a *Arena) RankBounds(cc index.Cancel, s score.Scorer, refScore float64, ti
 	return lo, hi
 }
 
-// ForEachCross implements index.Snapshot: the event construction of the
-// preference-adjustment sweep. A subtree whose score bounds prove every
-// object stays strictly below the reference line (m0 at wt=0, m1 at
-// wt=1) over the whole weight interval is pruned; one provably strictly
-// above at both ends is reported wholesale through above(cnt); the rest
-// descend to object-level visits — the index-based analogue of the
-// paper's two range queries over segment endpoints. The same
-// below-at-both-ends rule then applies to each entry of a reached leaf,
-// from its exact spatial score and its entry signature (see
-// entryBelow), so an object the signature proves can never cross is
-// not visited either.
+// ForEachCross implements index.Snapshot: ForEachCrossLines for the one
+// reference line (m0 at wt = 0, m1 at wt = 1) over the whole weight
+// interval.
 //
 //yask:hotpath
 func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, visit func(object.Object), above func(int)) {
+	line := [1]index.CrossLine{index.NewCrossLine(m0, m1, 0, 1)}
+	a.ForEachCrossLines(cc, s, line[:], func(o *object.Object, _ uint64) { visit(*o) }, func(_, count int) { above(count) })
+}
+
+// ForEachCrossLines implements index.Snapshot: the event construction
+// of the preference-adjustment sweep, one descent for every missing
+// object's line. Each node's score bounds (a = 1 − SDist ∈ [aLo, aHi]
+// at wt = 0, the similarity bounds at wt = 1) settle every line they
+// keep strictly on one side of over that line's window: below drops
+// the line, above reports aug.Cnt through above(i, cnt). The lines left
+// open descend — the index-based analogue of the paper's two range
+// queries over segment endpoints. The below rule then applies to each
+// entry of a reached leaf, once for all lines, from the leaf's spatial
+// bound or the entry's exact spatial score and from its entry
+// signature, so an object the signature proves can never cross a line
+// is not visited for it.
+//
+//yask:hotpath
+func (a *Arena) ForEachCrossLines(cc index.Cancel, s score.Scorer, lines []index.CrossLine, visit func(o *object.Object, mask uint64), above func(line, count int)) {
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
 	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	entries := f.AllEntries()
-	// No similarity is strictly below 0: with m1 ≤ 0 no entry can be
-	// proved below at wt = 1, so the per-entry probes would be waste.
-	pruneEntries := useSig && 0 < m1
-	sc.stack = index.PrunedDFS(f, cc, sc.stack,
-		func(n int32) {
+	sc.stack = index.PrunedDFS(f, cc, sc.stack, index.LinesMask(lines),
+		func(n int32, mask uint64) {
 			eLo, eHi := f.EntryRange(n)
-			if !pruneEntries {
+			// The leaf's own spatial bounds hold for every entry. When
+			// even its spatially worst point is not below any line at
+			// similarity 0, no entry can be settled: visit them all
+			// without any per-entry work.
+			r := f.Rect(n)
+			if !useSig || index.BelowMask(lines, mask, 1-s.SDistRectMax(r), 0) == 0 {
 				for ei := eLo; ei < eHi; ei++ {
-					visit(entries[ei].Item)
+					visit(&entries[ei].Item, mask)
 				}
 				return
 			}
-			leafBelow0 := 1-s.SDistRectMin(f.Rect(n)) < m0
+			// The subtree below rule, once per entry for all lines:
+			// bounded at wt = 0 by the leaf's spatial bound leafA when
+			// that leaves every line of mask to settle (leafOpen, the
+			// lines it is below at similarity 0), by the entry's exact
+			// spatial score otherwise, and at wt = 1 by the entry's
+			// signature alone (disjoint from the query: TSim = 0;
+			// otherwise SigSimUpperBound). The leaf bound spares the
+			// common entry its distance, and the signature is read only
+			// for an entry some line can still be settled for. A line
+			// settled this way is neither above the reference at its
+			// window's low edge nor crosses it inside the window, so
+			// visiting the entry for it would add nothing.
+			leafA := 1 - s.SDistRectMin(r)
+			leafOpen := index.BelowMask(lines, mask, leafA, 0)
 			for ei := eLo; ei < eHi; ei++ {
 				e := &entries[ei]
-				if !entryBelow(&s, e, &esigs[ei], &qs, m0, m1, leafBelow0, &sc.ctr) {
-					visit(e.Item)
+				ea, open := leafA, leafOpen
+				if open != mask {
+					ea = 1 - s.SDistAt(e.Item.Loc)
+					open = index.BelowMask(lines, mask, ea, 0)
+				}
+				below := uint64(0)
+				if open != 0 {
+					sc.ctr.Probes++
+					if qs.Disjoint(&esigs[ei]) {
+						below = open
+					} else {
+						below = index.BelowMask(lines, open, ea, entrySimHi(&s, e, &esigs[ei], &qs))
+					}
+					if below != 0 {
+						sc.ctr.Hits++
+					} else {
+						sc.ctr.Exact++
+					}
+				}
+				if m := mask &^ below; m != 0 {
+					visit(&e.Item, m)
 				}
 			}
 		},
-		func(c int32) bool {
-			// Subtree score bounds at the two endpoints of the weight
-			// interval: a = 1 − SDist ∈ [aLo, aHi] and the similarity
-			// bounds give the wt = 1 endpoint.
+		func(c int32, mask uint64) uint64 {
 			aug := f.Aug(c)
 			aLo := 1 - s.SDistRectMax(f.Rect(c))
 			aHi := 1 - s.SDistRectMin(f.Rect(c))
@@ -708,66 +751,49 @@ func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, vi
 				if qs.Disjoint(nsig) {
 					// Textual bounds exactly (0, 0).
 					sc.ctr.Hits++
-					if aHi < m0 && 0 < m1 {
-						return false
-					}
-					if aLo > m0 && 0 > m1 {
-						above(int(aug.Cnt))
-						return false
-					}
-					return true
+					mask &^= index.BelowMask(lines, mask, aHi, 0)
+					up := index.AboveMask(lines, mask, aLo, 0)
+					reportAbove(up, int(aug.Cnt), above)
+					return mask &^ up
 				}
-				// Only the below-at-both-ends prune can be decided from
-				// the upper bound alone; the wholesale-above report
-				// needs the exact similarity lower bound.
-				if aHi < m0 && quickTSimHi(aug, &s, &qs, nsig) < m1 {
-					sc.ctr.Hits++
-					return false
+				// Only the below rule can be decided from the upper bound
+				// alone; the wholesale-above report needs the exact
+				// similarity lower bound.
+				if open := index.BelowMask(lines, mask, aHi, 0); open != 0 {
+					mask &^= index.BelowMask(lines, open, aHi, quickTSimHi(aug, &s, &qs, nsig))
+					if mask == 0 {
+						sc.ctr.Hits++
+						return 0
+					}
 				}
 			}
 			sc.ctr.Exact++
 			tLo, tHi := TSimBounds(*aug, s.Query.Doc, s.Query.Sim)
-			if aHi < m0 && tHi < m1 {
-				return false // strictly below at both ends: never above, never crossing
-			}
-			if aLo > m0 && tLo > m1 {
-				above(int(aug.Cnt)) // strictly above throughout
-				return false
-			}
-			return true
+			mask &^= index.BelowMask(lines, mask, aHi, tHi)
+			up := index.AboveMask(lines, mask, aLo, tLo)
+			reportAbove(up, int(aug.Cnt), above)
+			return mask &^ up
 		})
 	sc.ctr.Flush(f.Stats())
 }
 
-// entryBelow is ForEachCross's subtree prune applied to one leaf entry:
-// it reports whether the entry's score line is provably strictly below
-// the reference line at both ends of the weight interval, at wt = 0
-// from its exact spatial score 1 − SDist (or from the leaf's own bound,
-// when leafBelow0 already proves it for every entry) and at wt = 1 from
-// its signature alone: a signature disjoint from the query proves
-// TSim = 0, and SigSimUpperBound bounds it otherwise. Both comparisons
-// are strict and use the float expressions the sweep's score lines are
-// built from, so such a line is neither above the reference near
-// wt = 0 nor crosses it, and visiting it would add nothing. The caller
-// guarantees 0 < m1. Signature probes are counted in ctr.
+// reportAbove reports a subtree of cnt objects strictly above each line
+// of mask.
 //
 //yask:hotpath
-func entryBelow(s *score.Scorer, e *rtree.LeafEntry[object.Object], esig *vocab.Signature, qs *vocab.QuerySig, m0, m1 float64, leafBelow0 bool, ctr *index.SigCounters) bool {
-	if !leafBelow0 && !(1-s.SDistAt(e.Item.Loc) < m0) {
-		return false
+func reportAbove(mask uint64, cnt int, above func(line, count int)) {
+	for ; mask != 0; mask &= mask - 1 {
+		above(bits.TrailingZeros64(mask), cnt)
 	}
-	ctr.Probes++
-	if qs.Disjoint(esig) {
-		ctr.Hits++
-		return true
-	}
+}
+
+// entrySimHi bounds the similarity of one entry whose signature is not
+// disjoint from the query's.
+//
+//yask:hotpath
+func entrySimHi(s *score.Scorer, e *rtree.LeafEntry[object.Object], esig *vocab.Signature, qs *vocab.QuerySig) float64 {
 	olen := len(e.Item.Doc)
-	if score.SigSimUpperBound(s.Query.Sim, qs.IntersectBound(esig), olen, olen, olen, qs.Len) < m1 {
-		ctr.Hits++
-		return true
-	}
-	ctr.Exact++
-	return false
+	return score.SigSimUpperBound(s.Query.Sim, qs.IntersectBound(esig), olen, olen, olen, qs.Len)
 }
 
 // CountBetter returns the number of objects whose (score, ID) pair

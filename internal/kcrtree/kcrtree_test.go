@@ -1,7 +1,9 @@
 package kcrtree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/yask-engine/yask/internal/dataset"
@@ -370,5 +372,228 @@ func TestForEachCrossSkipsProvablyBelowEntries(t *testing.T) {
 		if !sigs && share < 0.5 {
 			t.Errorf("signatures off: only %.1f%% of visited objects are below; the fixture no longer shows the waste the entry rule removes", 100*share)
 		}
+	}
+}
+
+// crossFixture is the shared fixture of the crossing-descent tests: six
+// queries over 5,000 objects, each with reference objects at ranks
+// k+1, k+6, 201, 1001 and 3001 — the first two as in a why-not session,
+// the deeper ones where whole subtrees lie above the reference.
+func crossFixture(t *testing.T) (*dataset.Dataset, []score.Query, [][]object.Object) {
+	t.Helper()
+	ds := testDataset(t, 5000, 23)
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 6, Seed: 24, K: 10, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	refs := make([][]object.Object, len(qs))
+	for i, q := range qs {
+		deep := q
+		deep.K = 3001
+		res := index.ScanTopK(ds.Objects, deep)
+		for _, rank := range []int{q.K, q.K + 5, 200, 1000, 3000} {
+			refs[i] = append(refs[i], res[rank].Obj)
+		}
+	}
+	return ds, qs, refs
+}
+
+// crossSnapshots returns both index families over ds, with the
+// signature layer on or off.
+func crossSnapshots(t *testing.T, ds *dataset.Dataset, sigs bool) map[string]index.Snapshot {
+	t.Helper()
+	kc, err := BuildWith(ds.Objects, rtree.DefaultMaxEntries, sigs).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	six := settree.Build(ds.Objects, rtree.DefaultMaxEntries)
+	six.SetSignatures(sigs)
+	st, err := six.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]index.Snapshot{"kcrtree": kc, "settree": st}
+}
+
+// crossState is the sweep's view of one competitor line (a0 at wt = 0,
+// a1 at wt = 1, object aID) against a reference line (m0, m1, mID): the
+// crossing weight, if the two swap order inside (0, 1), and whether the
+// competitor is above the reference just inside lo — after a crossing
+// below lo, before one from lo on. It restates core's scoreLine rules:
+// endpoint values compare exactly, ties at one end are decided by the
+// other, identical lines by ID.
+func crossState(a0, a1 float64, aID object.ID, m0, m1 float64, mID object.ID, lo float64) (wt float64, crosses, aboveAtLo bool) {
+	order := func(x, y, x2, y2 float64) bool {
+		if x != y {
+			return x > y
+		}
+		if x2 != y2 {
+			return x2 > y2
+		}
+		return aID < mID
+	}
+	above0, above1 := order(a0, m0, a1, m1), order(a1, m1, a0, m0)
+	if above0 != above1 {
+		wt = (m0 - a0) / ((a1 - a0) - (m1 - m0))
+		crosses = wt > 0 && wt < 1
+	}
+	return wt, crosses, above0 != (crosses && wt < lo)
+}
+
+// TestForEachCrossLinesMatchesScan checks the multi-line windowed
+// descent of both families against a full scan, with signatures on and
+// off. Five reference lines, each with its own window, go down in one
+// call. For each line, every object whose crossing lies inside the
+// line's window is visited with the line's bit, and the visited objects
+// above the line at the window's low edge plus the wholesale counts give
+// exactly the scan's count above it there. No object is visited twice.
+func TestForEachCrossLinesMatchesScan(t *testing.T) {
+	ds, qs, refs := crossFixture(t)
+	windows := [][2]float64{{0, 1}, {0.129, 0.871}, {0, 0.3}, {0.6, 1}, {0.45, 0.55}}
+	for _, sigs := range []bool{true, false} {
+		for name, sn := range crossSnapshots(t, ds, sigs) {
+			wholesale := 0
+			for qi, q := range qs {
+				s := score.NewScorer(q, ds.Objects)
+				ref := make([]struct{ m0, m1, lo, hi float64 }, len(refs[qi]))
+				lines := make([]index.CrossLine, len(refs[qi]))
+				for i, m := range refs[qi] {
+					w := windows[(qi+i)%len(windows)]
+					ref[i].m0, ref[i].m1, ref[i].lo, ref[i].hi = 1-s.SDist(m), s.TSim(m), w[0], w[1]
+					lines[i] = index.NewCrossLine(ref[i].m0, ref[i].m1, w[0], w[1])
+				}
+				visited := map[object.ID]uint64{}
+				counts := make([]int, len(lines))
+				sn.ForEachCrossLines(index.NoCancel, s, lines,
+					func(o *object.Object, mask uint64) {
+						if _, dup := visited[o.ID]; dup {
+							t.Fatalf("%s signatures %v q%d: object %d visited twice", name, sigs, qi, o.ID)
+						}
+						visited[o.ID] = mask
+					},
+					func(li, n int) { counts[li] += n; wholesale += n })
+				for i, l := range ref {
+					m := refs[qi][i]
+					got, want := counts[i], 0
+					for _, o := range ds.Objects.All() {
+						if o.ID == m.ID {
+							continue
+						}
+						wt, crosses, above := crossState(1-s.SDist(o), s.TSim(o), o.ID, l.m0, l.m1, m.ID, l.lo)
+						seen := visited[o.ID]&(1<<i) != 0
+						if crosses && l.lo <= wt && wt <= l.hi && !seen {
+							t.Fatalf("%s signatures %v q%d line %d %+v: object %d crosses at %v but was not visited", name, sigs, qi, i, l, o.ID, wt)
+						}
+						if above {
+							want++
+						}
+						if above && seen {
+							got++
+						}
+					}
+					if got != want {
+						t.Fatalf("%s signatures %v q%d line %d %+v: %d above at the low edge (%d wholesale), scan %d", name, sigs, qi, i, l, got, counts[i], want)
+					}
+				}
+			}
+			if name == "kcrtree" && wholesale == 0 {
+				t.Errorf("signatures %v: no subtree was counted wholesale; the fixture does not exercise above()", sigs)
+			}
+		}
+	}
+}
+
+// TestForEachCrossOneLineFullWindow pins the one-line form. ForEachCross
+// visits exactly what ForEachCrossLines visits for the same line over
+// [0, 1], and both reproduce the visits and counts of the per-object
+// descent this one replaced: the totals below are that descent's on the
+// same fixture.
+func TestForEachCrossOneLineFullWindow(t *testing.T) {
+	ds, qs, refs := crossFixture(t)
+	want := map[string][3]int{ // visits, sum of visited IDs, wholesale count
+		"kcrtree/true":  {88318, 221030947, 0},
+		"kcrtree/false": {149744, 374301090, 0},
+		"settree/true":  {149744, 374301090, 0},
+		"settree/false": {149744, 374301090, 0},
+	}
+	for _, sigs := range []bool{true, false} {
+		for name, sn := range crossSnapshots(t, ds, sigs) {
+			var got [3]int
+			for qi, q := range qs {
+				s := score.NewScorer(q, ds.Objects)
+				for _, m := range refs[qi] {
+					m0, m1 := 1-s.SDist(m), s.TSim(m)
+					var one, lines []object.ID
+					oneAbove, linesAbove := 0, 0
+					sn.ForEachCross(index.NoCancel, s, m0, m1,
+						func(o object.Object) { one = append(one, o.ID) },
+						func(n int) { oneAbove += n })
+					sn.ForEachCrossLines(index.NoCancel, s, []index.CrossLine{index.NewCrossLine(m0, m1, 0, 1)},
+						func(o *object.Object, mask uint64) {
+							if mask != 1 {
+								t.Fatalf("%s: one line visited with mask %b", name, mask)
+							}
+							lines = append(lines, o.ID)
+						},
+						func(li, n int) { linesAbove += n })
+					if !slices.Equal(one, lines) || oneAbove != linesAbove {
+						t.Fatalf("%s signatures %v q%d: ForEachCross visited %d (%d above), ForEachCrossLines %d (%d above)",
+							name, sigs, qi, len(one), oneAbove, len(lines), linesAbove)
+					}
+					got[0] += len(one)
+					for _, id := range one {
+						got[1] += int(id)
+					}
+					got[2] += oneAbove
+				}
+			}
+			key := fmt.Sprintf("%s/%v", name, sigs)
+			if got != want[key] {
+				t.Errorf("%s: visits, ID sum, wholesale = %v, the per-object descent's %v", key, got, want[key])
+			}
+		}
+	}
+}
+
+// TestForEachCrossLinesSharesDescent is the work floor of the shared
+// descent: the two missing objects of a why-not session, in one
+// ForEachCrossLines call over the λ = 0.3 window at wt₀ = 0.5, probe at
+// most 60% of the signatures (node and leaf-entry probes together) that
+// two one-line descents probe, and reach at most 60% of their nodes.
+// Settling lines node by node is what makes the sharing pay: a descent
+// that ran one line after the other would probe exactly as much.
+func TestForEachCrossLinesSharesDescent(t *testing.T) {
+	ds := testDataset(t, 20000, 21)
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 12, Seed: 22, K: 10, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	a, err := BuildWith(ds.Objects, rtree.DefaultMaxEntries, true).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := a.f.Stats()
+	var sepNodes, sepProbes, oneNodes, oneProbes int64
+	for _, q := range qs {
+		s := a.Scorer(q)
+		res := a.TopK(index.NoCancel, s, q.K+10, nil, nil)
+		for j := q.K; j+1 < len(res); j += 2 {
+			lines := make([]index.CrossLine, 2)
+			for i, r := range res[j : j+2] {
+				lines[i] = index.NewCrossLine(1-s.SDist(r.Obj), s.TSim(r.Obj), 0.129, 0.871)
+			}
+			st.Reset()
+			for i := range lines {
+				a.ForEachCrossLines(index.NoCancel, s, lines[i:i+1], func(*object.Object, uint64) {}, func(int, int) {})
+			}
+			sepNodes, sepProbes = sepNodes+st.NodeAccesses(), sepProbes+st.SigProbes()
+			st.Reset()
+			a.ForEachCrossLines(index.NoCancel, s, lines, func(*object.Object, uint64) {}, func(int, int) {})
+			oneNodes, oneProbes = oneNodes+st.NodeAccesses(), oneProbes+st.SigProbes()
+		}
+	}
+	nodes, probes := float64(oneNodes)/float64(sepNodes), float64(oneProbes)/float64(sepProbes)
+	t.Logf("one descent for two lines: %d nodes, %d probes; two descents: %d nodes, %d probes (%.2f, %.2f)",
+		oneNodes, oneProbes, sepNodes, sepProbes, nodes, probes)
+	if nodes > 0.6 || probes > 0.6 {
+		t.Errorf("one descent for two lines costs %.2f of the nodes and %.2f of the probes of two, want ≤ 0.60", nodes, probes)
 	}
 }

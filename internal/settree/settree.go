@@ -115,7 +115,7 @@ type Arena struct {
 type searchScratch struct {
 	nodes *pqueue.Queue[index.NodeEntry]
 	cand  *pqueue.Queue[score.Result]
-	stack []int32
+	stack []index.DFSFrame
 	// ctr batches the query's signature-layer statistics; flushed to
 	// the arena's Stats once per traversal.
 	ctr index.SigCounters
@@ -439,8 +439,8 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	entries := f.AllEntries()
 	count := 0
-	sc.stack = index.PrunedDFS(f, cc, sc.stack,
-		func(n int32) {
+	sc.stack = index.PrunedDFS(f, cc, sc.stack, 1,
+		func(n int32, _ uint64) {
 			eLo, eHi := f.EntryRange(n)
 			for ei := eLo; ei < eHi; ei++ {
 				e := &entries[ei]
@@ -456,8 +456,11 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 		// (or ties with a larger smallest-possible ID — unknowable
 		// cheaply, so only strict inequality prunes) contributes
 		// nothing.
-		func(c int32) bool {
-			return boundAt(f, s, &qs, useSig, c, refScore, &sc.ctr) >= refScore
+		func(c int32, open uint64) uint64 {
+			if boundAt(f, s, &qs, useSig, c, refScore, &sc.ctr) < refScore {
+				return 0
+			}
+			return open
 		})
 	sc.ctr.Flush(f.Stats())
 	return count
@@ -483,34 +486,45 @@ func (a *Arena) RankOf(s score.Scorer, oid object.ID) int {
 	return a.CountBetter(index.NoCancel, s, s.Score(o), oid) + 1
 }
 
-// ForEachCross implements index.Snapshot: it visits every object whose
-// score line over wt ∈ (0, 1) is not provably strictly below the
-// reference line (m0 at wt=0, m1 at wt=1). The SetR-tree has upper
-// bounds only — no subtree cardinality, no similarity lower bound — so
-// it never reports wholesale-above subtrees; survivors are visited
-// object by object.
+// ForEachCross implements index.Snapshot: ForEachCrossLines for the one
+// reference line (m0 at wt = 0, m1 at wt = 1) over the whole weight
+// interval.
 //
 //yask:hotpath
 func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, visit func(object.Object), above func(int)) {
+	line := [1]index.CrossLine{index.NewCrossLine(m0, m1, 0, 1)}
+	a.ForEachCrossLines(cc, s, line[:], func(o *object.Object, _ uint64) { visit(*o) }, func(_, count int) { above(count) })
+}
+
+// ForEachCrossLines implements index.Snapshot: one descent visits every
+// object whose score line is not provably strictly below a reference
+// line over that line's window, with the mask of those lines. The
+// SetR-tree has upper bounds only — no subtree cardinality, no
+// similarity lower bound — so it never reports wholesale-above
+// subtrees, and survivors are visited object by object.
+//
+//yask:hotpath
+func (a *Arena) ForEachCrossLines(cc index.Cancel, s score.Scorer, lines []index.CrossLine, visit func(o *object.Object, mask uint64), above func(line, count int)) {
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
 	qs, _, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
-	sc.stack = index.PrunedDFS(f, cc, sc.stack,
-		func(n int32) {
-			for _, e := range f.Entries(n) {
-				visit(e.Item)
+	sc.stack = index.PrunedDFS(f, cc, sc.stack, index.LinesMask(lines),
+		func(n int32, mask uint64) {
+			es := f.Entries(n)
+			for i := range es {
+				visit(&es[i].Item, mask)
 			}
 		},
-		func(c int32) bool {
-			// Every line below the node is bracketed by aHi at wt=0 and
-			// tHi at wt=1; below the reference at both ends means below
-			// on the whole interval — prune. A node already above the
-			// reference at the spatial end descends without any textual
-			// work.
+		func(c int32, mask uint64) uint64 {
+			// Every line below the node is bracketed by aHi at wt = 0
+			// and tHi at wt = 1. Only lines the node is below even with
+			// similarity 0 need textual work; a node no line can settle
+			// descends without any.
 			aHi := 1 - s.SDistRectMin(f.Rect(c))
-			if aHi >= m0 {
-				return true
+			open := index.BelowMask(lines, mask, aHi, 0)
+			if open == 0 {
+				return mask
 			}
 			aug := f.Aug(c)
 			if useSig {
@@ -519,15 +533,15 @@ func (a *Arena) ForEachCross(cc index.Cancel, s score.Scorer, m0, m1 float64, vi
 				nsig := f.Sig(c)
 				if qs.Disjoint(nsig) {
 					ctr.Hits++
-					return !(0 < m1) // tHi exactly 0
+					return mask &^ open // tHi exactly 0
 				}
-				if quick := quickTSimHi(aug, &s, &qs, nsig); quick < m1 {
+				if below := index.BelowMask(lines, open, aHi, quickTSimHi(aug, &s, &qs, nsig)); below == open {
 					ctr.Hits++
-					return false // exact tHi ≤ quick: provably below at both ends
+					return mask &^ below // exact tHi ≤ quick: provably below
 				}
 			}
 			sc.ctr.Exact++
-			return !(TSimUpperBound(*aug, s.Query.Doc, s.Query.Sim) < m1)
+			return mask &^ index.BelowMask(lines, open, aHi, TSimUpperBound(*aug, s.Query.Doc, s.Query.Sim))
 		})
 	sc.ctr.Flush(f.Stats())
 }

@@ -209,3 +209,66 @@ func TestSignatureStatsCounters(t *testing.T) {
 			on.Stats().ExactSetOps(), off.Stats().ExactSetOps())
 	}
 }
+
+// TestForEachCrossLinesSignaturesAgree: the SetR-tree's multi-line
+// windowed crossing descent makes the same decisions with the signature
+// layer on and off — every object is visited with the same line mask —
+// never reports a wholesale-above subtree (the family has no similarity
+// lower bound), and visits, for every line, each object whose exact
+// line rises above the reference at either end of the line's window.
+// The scan comparison of visits and counts for both families is
+// kcrtree's TestForEachCrossLinesMatchesScan.
+func TestForEachCrossLinesSignaturesAgree(t *testing.T) {
+	ds := testDataset(t, 3000, 31)
+	on := Build(ds.Objects, 16)
+	off := Build(ds.Objects, 16)
+	off.SetSignatures(false)
+	aOn, err := on.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aOff, err := off.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := [][2]float64{{0, 1}, {0.129, 0.871}, {0, 0.3}, {0.6, 1}}
+	for qi, q := range testQueries(ds, 8, 35, 10, 2) {
+		s := aOn.Scorer(q)
+		deep := q
+		deep.K = 1001
+		res := index.ScanTopK(ds.Objects, deep)
+		var ref []struct{ m0, m1, lo, hi float64 }
+		var lines []index.CrossLine
+		for i, rank := range []int{q.K, q.K + 4, 300, 1000} {
+			m := res[rank].Obj
+			w := windows[(qi+i)%len(windows)]
+			ref = append(ref, struct{ m0, m1, lo, hi float64 }{1 - s.SDist(m), s.TSim(m), w[0], w[1]})
+			lines = append(lines, index.NewCrossLine(1-s.SDist(m), s.TSim(m), w[0], w[1]))
+		}
+		collect := func(a *Arena) map[object.ID]uint64 {
+			seen := make(map[object.ID]uint64)
+			a.ForEachCrossLines(index.NoCancel, s, lines,
+				func(o *object.Object, mask uint64) { seen[o.ID] = mask },
+				func(li, n int) { t.Fatalf("q%d: the SetR-tree reported %d objects above line %d wholesale", qi, n, li) })
+			return seen
+		}
+		gotOn, gotOff := collect(aOn), collect(aOff)
+		if len(gotOn) != len(gotOff) {
+			t.Fatalf("q%d: visited %d objects with signatures, %d without", qi, len(gotOn), len(gotOff))
+		}
+		for id, mask := range gotOff {
+			if gotOn[id] != mask {
+				t.Fatalf("q%d: object %d visited for lines %b with signatures, %b without", qi, id, gotOn[id], mask)
+			}
+		}
+		for _, o := range ds.Objects.All() {
+			a0, a1 := 1-s.SDist(o), s.TSim(o)
+			for i, l := range ref {
+				at := func(wt float64) float64 { return (1-wt)*(a0-l.m0) + wt*(a1-l.m1) }
+				if (at(l.lo) > 1e-6 || at(l.hi) > 1e-6) && gotOn[o.ID]&(1<<i) == 0 {
+					t.Fatalf("q%d line %d %+v: object %d rises above it in the window but was not visited", qi, i, l, o.ID)
+				}
+			}
+		}
+	}
+}
