@@ -94,6 +94,9 @@ type BestRefinement struct {
 	// RankBefore/RankAfter are the worst missing ranks under the
 	// initial and refined query.
 	RankBefore, RankAfter int
+	// Results is Query's result, computed on the same snapshot as every
+	// refinement stage. It is not part of the JSON form.
+	Results []Result `json:"-"`
 }
 
 // WhyNotBest runs both refinement models (and their composition, per
@@ -122,6 +125,7 @@ func (e *Engine) WhyNotBestCtx(ctx context.Context, q Query, missing []ObjectID,
 		KeywordPenalty:    best.KeywordPenalty,
 		RankBefore:        best.RankBefore,
 		RankAfter:         best.RankAfter,
+		Results:           e.results(best.Refined, best.Results),
 	}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/yask-engine/yask/internal/dataset"
 	"github.com/yask-engine/yask/internal/object"
@@ -98,16 +99,45 @@ func TestTopKAllocationGuard(t *testing.T) {
 }
 
 // prefBytesBudget bounds the heap bytes one warm AdjustPreferenceCtx
-// allocates at n = 20k with the result cache off: about 600 bytes of
-// request bookkeeping (the validated missing set, the cache key, the
-// missing lines, the descent closures), rounded up to a power of two.
-// The crossing events, tens of thousands per request, come from a pool;
-// growing them afresh costs 50–400 KB per request.
+// allocates at n = 20k with the result cache off, beyond the Results
+// list it returns: about 600 bytes of request bookkeeping (the
+// validated missing set, the cache key, the missing lines, the descent
+// closures), rounded up to a power of two. The crossing events, tens of
+// thousands per request, come from a pool; growing them afresh costs
+// 50–400 KB per request.
 const prefBytesBudget = 1024
+
+// resultBytes is the size of the backing array of a result list grown
+// from nil, to within one element: the caller-owned list a why-not
+// refinement returns.
+func resultBytes(list []score.Result) uint64 {
+	return uint64(cap(list)) * uint64(unsafe.Sizeof(score.Result{}))
+}
+
+// leastWarmBytes returns the fewest heap bytes per call that run
+// allocates over three trials of ten warm calls. A garbage collection
+// between two trials may empty a pool once, which is not what is
+// measured.
+func leastWarmBytes(run func()) uint64 {
+	run()
+	best := ^uint64(0)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for r := 0; r < runs; r++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	return best
+}
 
 // TestAdjustPreferenceAllocationBudget is the allocation gate of the
 // preference sweep: a warm adjustment reuses its pooled crossing
-// buffers, so its allocation stays within prefBytesBudget.
+// buffers, so what it allocates beside its Results list stays within
+// prefBytesBudget.
 func TestAdjustPreferenceAllocationBudget(t *testing.T) {
 	ds, err := dataset.Generate(dataset.DefaultConfig(20000, 71))
 	if err != nil {
@@ -121,27 +151,51 @@ func TestAdjustPreferenceAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i, q := range qs {
 		miss := missingFromResult(e, q, 2)
-		run := func() {
-			if _, err := e.AdjustPreferenceCtx(ctx, q, miss, PreferenceOptions{Lambda: 0.3}); err != nil {
+		var res PreferenceResult
+		best := leastWarmBytes(func() {
+			var err error
+			if res, err = e.AdjustPreferenceCtx(ctx, q, miss, PreferenceOptions{Lambda: 0.3}); err != nil {
 				t.Fatal(err)
 			}
+		})
+		if budget := prefBytesBudget + resultBytes(res.Results); best > budget {
+			t.Errorf("query %d: warm AdjustPreferenceCtx allocated %d bytes per call, budget %d", i, best, budget)
 		}
-		run()
-		// The least of three trials: a garbage collection between two of
-		// them may empty the pool once, which is not what is measured.
-		best := ^uint64(0)
-		for trial := 0; trial < 3; trial++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			const runs = 10
-			for r := 0; r < runs; r++ {
-				run()
+	}
+}
+
+// kwBytesBudget bounds the heap bytes one warm AdaptKeywordsCtx
+// allocates at n = 20k with the result cache off, beyond the Results
+// list it returns: the most any question of the test measured, rounded
+// up to the next multiple of 64. The two ranking lists a candidate
+// evaluation fills, up to R(M, q) results each, come from a pool.
+const kwBytesBudget = 512
+
+// TestAdaptKeywordsAllocationBudget is the allocation gate of keyword
+// adaption: a warm adaption reuses its pooled ranking lists, so what it
+// allocates beside its Results list stays within kwBytesBudget.
+func TestAdaptKeywordsAllocationBudget(t *testing.T) {
+	ds, err := dataset.Generate(dataset.DefaultConfig(20000, 73))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds.Objects, Options{DisableCache: true})
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 8, Seed: 74, K: 10, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i, q := range qs {
+		miss := missingFromResult(e, q, 1+i%2)
+		var res KeywordResult
+		best := leastWarmBytes(func() {
+			var err error
+			if res, err = e.AdaptKeywordsCtx(ctx, q, miss, KeywordOptions{Lambda: 0.5}); err != nil {
+				t.Fatal(err)
 			}
-			runtime.ReadMemStats(&after)
-			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
-		}
-		if best > prefBytesBudget {
-			t.Errorf("query %d: warm AdjustPreferenceCtx allocated %d bytes per call, budget %d", i, best, prefBytesBudget)
+		})
+		if budget := kwBytesBudget + resultBytes(res.Results); best > budget {
+			t.Errorf("query %d: warm AdaptKeywordsCtx allocated %d bytes per call, budget %d", i, best, budget)
 		}
 	}
 }

@@ -190,6 +190,9 @@ type BestRefinement struct {
 	// RankBefore and RankAfter are the worst missing ranks under the
 	// initial and winning refined query.
 	RankBefore, RankAfter int
+	// Results is Refined's top-k, best first, on the snapshot every
+	// stage ran on. The caller owns it.
+	Results []score.Result
 }
 
 // RefineBest runs both refinement modules (and their composition) and
@@ -202,14 +205,19 @@ func (e *Engine) RefineBest(q score.Query, missing []object.ID, lambda float64) 
 	return e.RefineBestCtx(context.Background(), q, missing, lambda)
 }
 
-// RefineBestCtx is RefineBest under a context; both refinement modules
-// and the composition stage propagate the cancellation signal.
+// RefineBestCtx is RefineBest under a context; every stage runs on one
+// acquired view and polls the context's cancellation signal, and a
+// canceled refinement returns ctx.Err().
 func (e *Engine) RefineBestCtx(ctx context.Context, q score.Query, missing []object.ID, lambda float64) (BestRefinement, error) {
-	pref, err := e.AdjustPreferenceCtx(ctx, q, missing, PreferenceOptions{Lambda: lambda})
+	v, err := e.acquire()
 	if err != nil {
 		return BestRefinement{}, err
 	}
-	kw, err := e.AdaptKeywordsCtx(ctx, q, missing, KeywordOptions{Lambda: lambda})
+	pref, err := e.adjustPreferenceOn(ctx, v, q, missing, PreferenceOptions{Lambda: lambda})
+	if err != nil {
+		return BestRefinement{}, err
+	}
+	kw, err := e.adaptKeywordsOn(ctx, v, q, missing, KeywordOptions{Lambda: lambda})
 	if err != nil {
 		return BestRefinement{}, err
 	}
@@ -228,59 +236,63 @@ func (e *Engine) RefineBestCtx(ctx context.Context, q score.Query, missing []obj
 		best.Refined = kw.Refined
 		best.Penalty = kw.Penalty
 		best.RankAfter = kw.RankAfter
+		best.Results = kw.Results
 	}
 
 	// Combined: adjust the preference of the keyword-adapted query. If
 	// the keyword stage already needed no k enlargement there is nothing
 	// left to recover, so only try the composition when Δk > 0.
 	if kw.DeltaK > 0 {
-		sn, err := e.acquireSet()
-		if err != nil {
-			return BestRefinement{}, err
-		}
-		s2 := setScorer(sn, kw.Refined)
-		cc := index.CancelOf(ctx)
+		// kw.Results lists kw.Refined.K ≥ q.K objects, so its head is
+		// the adapted keywords' top-k at the user's k.
+		top := kw.Results[:min(q.K, len(kw.Results))]
 		stillMissing := make([]object.ID, 0, len(missing))
 		for _, id := range missing {
-			if index.RankOf(cc, sn, s2, e.coll.Get(id)) > q.K {
+			if listRank(top, id) == 0 {
 				stillMissing = append(stillMissing, id)
 			}
-		}
-		if err := ctx.Err(); err != nil {
-			return BestRefinement{}, err
 		}
 		if len(stillMissing) > 0 {
 			q2 := kw.Refined
 			q2.K = q.K // re-refine from the user's k, not the enlarged one
-			pref2, err := e.AdjustPreferenceCtx(ctx, q2, stillMissing, PreferenceOptions{Lambda: lambda})
+			pref2, err := e.adjustPreferenceOn(ctx, v, q2, stillMissing, PreferenceOptions{Lambda: lambda})
+			if err != nil && ctx.Err() != nil {
+				return BestRefinement{}, ctx.Err()
+			}
 			if err == nil {
 				combined := kw.Penalty - lambda*float64(kw.DeltaK)/float64(kw.RankBefore-q.K) + pref2.Penalty
-				// The weight change may push an object the keyword stage
-				// had already revived back out; accept the composition
-				// only if every missing object survives it.
-				if combined < best.Penalty && e.allWithin(pref2.Refined, missing) {
-					best.Model = ModelCombined
-					best.Refined = pref2.Refined
-					best.Penalty = combined
-					best.RankAfter = pref2.RankAfter
+				if combined < best.Penalty {
+					// The weight change may push an object the keyword
+					// stage had already revived back out; accept the
+					// composition only if its top-k lists every missing
+					// object.
+					list, err := e.refinedTopK(ctx, v, pref2.Refined)
+					if err != nil {
+						return BestRefinement{}, err
+					}
+					if allListed(list, missing) {
+						best.Model = ModelCombined
+						best.Refined = pref2.Refined
+						best.Penalty = combined
+						best.RankAfter = pref2.RankAfter
+						best.Results = list
+					}
 				}
 			}
+		}
+	}
+	if best.Model == ModelPreference {
+		if best.Results, err = e.refinedTopK(ctx, v, pref.Refined); err != nil {
+			return BestRefinement{}, err
 		}
 	}
 	return best, nil
 }
 
-// allWithin reports whether every listed object ranks within q.K under
-// query q. A stale snapshot counts as "not within": the composition is
-// simply not accepted.
-func (e *Engine) allWithin(q score.Query, ids []object.ID) bool {
-	sn, err := e.acquireSet()
-	if err != nil {
-		return false
-	}
-	s := setScorer(sn, q)
+// allListed reports whether every listed object appears in list.
+func allListed(list []score.Result, ids []object.ID) bool {
 	for _, id := range ids {
-		if index.RankOf(index.NoCancel, sn, s, e.coll.Get(id)) > q.K {
+		if listRank(list, id) == 0 {
 			return false
 		}
 	}

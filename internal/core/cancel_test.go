@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/yask-engine/yask/internal/dataset"
+	"github.com/yask-engine/yask/internal/index"
 	"github.com/yask-engine/yask/internal/object"
 	"github.com/yask-engine/yask/internal/qcache"
 	"github.com/yask-engine/yask/internal/score"
@@ -196,4 +198,82 @@ func TestCancelStormScratchHygiene(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// tripCtx cancels itself at its trip-th Err call, so a test can cancel
+// a computation between any two of its cancellation checks. onTrip runs
+// at that moment.
+type tripCtx struct {
+	context.Context
+	cancel      context.CancelFunc
+	calls, trip int
+	onTrip      func()
+}
+
+func (c *tripCtx) Err() error {
+	if c.calls++; c.calls == c.trip {
+		c.cancel()
+		c.onTrip()
+	}
+	return c.Context.Err()
+}
+
+// TestRefineBestCanceledAtEveryCheck cancels RefineBestCtx at each of
+// its cancellation checks in turn. Every canceled run must return
+// ctx.Err() and visit at most index.CheckInterval more index nodes
+// after the cancellation; the first run that makes all its checks
+// uncanceled must return the uncanceled answer. The questions are
+// chosen so that one is won by the combined model, whose acceptance
+// check ranks the composed query, and one tries the composition and
+// rejects it.
+func TestRefineBestCanceledAtEveryCheck(t *testing.T) {
+	ds, err := dataset.Generate(dataset.DefaultConfig(1000, 321))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds.Objects, Options{MaxEntries: 8, DisableCache: true})
+	accesses := func() int64 {
+		row := e.Stats().PerShard[0]
+		return row.SetNodeAccesses + row.KcNodeAccesses
+	}
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 20, Seed: 322, K: 5, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	for _, tc := range []struct {
+		qi     int
+		lambda float64
+		model  RefinementModel
+	}{{11, 0.7, ModelCombined}, {7, 0.3, ModelPreference}} {
+		q, miss := qs[tc.qi], missingFromResult(e, qs[tc.qi], 3)
+		want, err := e.RefineBest(q, miss, tc.lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Model != tc.model {
+			t.Fatalf("q%d: the %v model won, the test expects %v", tc.qi, want.Model, tc.model)
+		}
+		if kw, err := e.AdaptKeywords(q, miss, KeywordOptions{Lambda: tc.lambda}); err != nil || kw.DeltaK == 0 {
+			t.Fatalf("q%d: keyword adaption (Δk %d, %v) leaves no composition to try", tc.qi, kw.DeltaK, err)
+		}
+		for trip := 1; ; trip++ {
+			var atTrip int64
+			inner, cancel := context.WithCancel(context.Background())
+			ctx := &tripCtx{Context: inner, cancel: cancel, trip: trip, onTrip: func() { atTrip = accesses() }}
+			got, err := e.RefineBestCtx(ctx, q, miss, tc.lambda)
+			cancel()
+			if ctx.calls < trip {
+				// The run made fewer checks than trip: it was never canceled.
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("q%d: uncanceled run = (%+v, %v), want %+v", tc.qi, got, err, want)
+				}
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("q%d: canceled at check %d of %d: err = %v", tc.qi, trip, ctx.calls, err)
+			}
+			if after := accesses() - atTrip; after > index.CheckInterval {
+				t.Fatalf("q%d: canceled at check %d: %d node visits after the cancellation", tc.qi, trip, after)
+			}
+		}
+	}
 }

@@ -4,8 +4,9 @@
 // the preference-adjusted why-not module (Definition 2, penalty Eqn 3),
 // and the keyword-adapted why-not module (Definition 3, penalty Eqn 4).
 //
-// The Engine owns a SetR-tree (top-k, explanations, preference
-// adjustment) and a KcR-tree (keyword adaption) over one collection.
+// The Engine owns a SetR-tree (top-k, ranks, explanations) and a
+// KcR-tree (the why-not refinements' crossing descents and candidate
+// rankings) over one collection.
 // Both are driven through the shared index.Provider/index.Snapshot
 // contract, so every algorithm here acquires one consistent view per
 // computation and runs against index.Snapshot primitives, never a
@@ -218,7 +219,7 @@ func newEngineWith(c *object.Collection, opts Options, set *settree.Index, kc *k
 
 // engineView is one consistent cross-index acquisition: the SetR-family
 // snapshot the top-k and explanation paths run on and the KcR-family
-// snapshot the rank-bound machinery runs on, taken together so a whole
+// snapshot the why-not refinements search, taken together so a whole
 // why-not computation sees one arena set, plus the collection view
 // published with them, against which requested object IDs are checked.
 // Both snapshots are index.Snapshots, which keeps every algorithm in
@@ -630,6 +631,23 @@ func (e *Engine) topKOn(ctx context.Context, sn index.Snapshot, q score.Query, d
 	}
 	e.cache.PutTopK(epoch, q, dst[base:])
 	return dst, nil
+}
+
+// refinedTopK returns the top-k of a why-not refinement's query q on the
+// view it was found on: one top-k of the view's KcR-family snapshot,
+// whose answers are the SetR family's byte for byte, stored in the
+// result cache under the view's SetR-family epoch so that running q
+// next reads it back. It is not looked up there first: a follow-up after
+// explain reads nothing from the cache but its missing objects' ranks
+// and traverses no SetR-family node. See topKOn for the cancellation
+// discipline.
+func (e *Engine) refinedTopK(ctx context.Context, v engineView, q score.Query) ([]score.Result, error) {
+	res := v.kc.TopK(index.CancelOf(ctx), setScorer(v.set, q), q.K, nil, nil)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	e.cache.PutTopK(v.set.Epoch(), q, res)
+	return res, nil
 }
 
 // Rank returns the 1-based rank of an object under the query.

@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
+	"sync"
 
 	"github.com/yask-engine/yask/internal/index"
 	"github.com/yask-engine/yask/internal/object"
@@ -16,17 +17,15 @@ import (
 type KeywordAlgorithm int
 
 // KwBoundPrune is the paper's optimized algorithm [6]: candidates are
-// enumerated in increasing Δdoc order; each candidate's penalty is first
-// bounded through shallow KcR-tree rank bounds and pruned against the
-// best penalty seen; only survivors pay for an exact rank computation
-// (itself index-pruned). Exact over the candidate space.
+// enumerated in increasing Δdoc order and pruned by the penalty floor
+// (1−λ)·Δdoc/|q.doc ∪ M.doc| against the best penalty seen. A survivor
+// is ranked by one top-k capped at the largest rank that could still
+// beat that penalty: a missing object outside the list cannot, and one
+// inside it has its exact rank, its position. Exact over the candidate
+// space.
 //
 // Deprecated: the only algorithm; removed when benchmark/ is next edited.
 const KwBoundPrune KeywordAlgorithm = 0
-
-// kwBoundDepth is the KcR-tree depth of the cheap rank bound that prunes
-// candidates before exact evaluation.
-const kwBoundDepth = 2
 
 // KeywordOptions configures AdaptKeywords.
 type KeywordOptions struct {
@@ -38,8 +37,8 @@ type KeywordOptions struct {
 	Algorithm KeywordAlgorithm
 	// MaxEdits caps the candidate edit distance. Zero means no cap
 	// beyond the penalty floor: candidates with
-	// (1−λ)·Δdoc/|q.doc ∪ M.doc| above the best seen penalty can never
-	// win, which terminates enumeration early for λ < 1. At λ = 1
+	// (1−λ)·Δdoc/|q.doc ∪ M.doc| at or above the best seen penalty can
+	// never win, which ends the enumeration early for λ < 1. At λ = 1
 	// keyword edits are free and the floor never prunes, so set
 	// MaxEdits explicitly there to bound the exponential candidate
 	// space.
@@ -47,7 +46,7 @@ type KeywordOptions struct {
 }
 
 // KeywordResult is a keyword-adapted refined query (Definition 3)
-// together with its penalty decomposition.
+// together with its penalty decomposition and its result list.
 type KeywordResult struct {
 	// Refined is q′ = (loc, doc′, k′, w⃗): original location and
 	// weights, adapted keyword set, possibly enlarged k.
@@ -62,10 +61,35 @@ type KeywordResult struct {
 	RankBefore, RankAfter int
 	// Added and Removed are the keyword edits q′.doc applies to q.doc.
 	Added, Removed vocab.KeywordSet
+	// Results is Refined's top-k, best first, on the snapshot the
+	// refinement was found on: the first Refined.K entries of the
+	// winning candidate's own ranking list, or, when keeping q.doc and
+	// enlarging k wins, one top-k of that snapshot. The caller owns it.
+	Results []score.Result
 	// CandidatesGenerated counts enumerated candidate keyword sets;
-	// CandidatesEvaluated counts those that survived bound pruning and
-	// paid for an exact rank computation.
+	// CandidatesEvaluated counts those that survived the penalty floor
+	// and paid for a capped top-k (plus the keep-q.doc refinement).
 	CandidatesGenerated, CandidatesEvaluated int
+}
+
+// kwScratch is AdaptKeywordsCtx's pooled per-call state: the ranking
+// list of the candidate being evaluated, the list of the best candidate
+// so far, and the candidate keyword set. A list holds up to R(M, q)
+// results, so allocating the two afresh per call would be most of the
+// adaption's garbage.
+type kwScratch struct {
+	cur, best []score.Result
+	doc       vocab.KeywordSet
+}
+
+var kwScratchPool = sync.Pool{New: func() any { return new(kwScratch) }}
+
+// release clears the lists, which point into snapshot arenas, and
+// returns sc to the pool.
+func (sc *kwScratch) release() {
+	clear(sc.cur[:cap(sc.cur)])
+	clear(sc.best[:cap(sc.best)])
+	kwScratchPool.Put(sc)
 }
 
 // AdaptKeywords answers the keyword-adapted why-not query (Definition
@@ -77,19 +101,27 @@ type KeywordResult struct {
 // costing an edit, and can never improve the penalty.
 //
 // One checked cross-index view serves the whole enumeration — every
-// candidate is ranked against the same consistent arena set.
+// candidate is ranked against the same consistent arena set, and the
+// returned Results come from that same set.
 func (e *Engine) AdaptKeywords(q score.Query, missing []object.ID, opts KeywordOptions) (KeywordResult, error) {
 	return e.AdaptKeywordsCtx(context.Background(), q, missing, opts)
 }
 
-// AdaptKeywordsCtx is AdaptKeywords under a context: candidate rank
-// bounds and exact ranks poll the context's cancellation signal, and a
-// canceled adaption returns ctx.Err().
+// AdaptKeywordsCtx is AdaptKeywords under a context: every candidate's
+// ranking polls the context's cancellation signal, and a canceled
+// adaption returns ctx.Err().
 func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []object.ID, opts KeywordOptions) (KeywordResult, error) {
 	v, err := e.acquire()
 	if err != nil {
 		return KeywordResult{}, err
 	}
+	return e.adaptKeywordsOn(ctx, v, q, missing, opts)
+}
+
+// adaptKeywordsOn is AdaptKeywordsCtx on an acquired view. Candidates
+// are ranked on the view's KcR-family snapshot, whose top-k is the
+// SetR family's byte for byte.
+func (e *Engine) adaptKeywordsOn(ctx context.Context, v engineView, q score.Query, missing []object.ID, opts KeywordOptions) (KeywordResult, error) {
 	w, err := e.validateWhyNot(ctx, v, q, missing)
 	if err != nil {
 		return KeywordResult{}, err
@@ -128,31 +160,19 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 	best.CandidatesEvaluated = 1
 
 	cc := index.CancelOf(ctx)
+	sc := kwScratchPool.Get().(*kwScratch)
+	defer sc.release()
 
-	// worstRank returns R(M, q′) for candidate doc, exactly.
-	worstRank := func(doc vocab.KeywordSet) int {
-		s2 := score.Scorer{Query: q.WithDoc(doc), MaxDist: s.MaxDist}
-		worst := 0
-		for _, m := range objs {
-			worst = max(worst, index.RankOf(cc, v.kc, s2, m))
-		}
-		return worst
+	// penalty is Eqn 4 for a candidate at edit distance Δdoc (docPart is
+	// its keyword term) whose worst missing rank is rank.
+	penalty := func(rank int, docPart float64) float64 {
+		return opts.Lambda*float64(max(rank-q.K, 0))/kNorm + docPart
 	}
-
-	// rankLowerBound returns a cheap lower bound on R(M, q′) from a
-	// depth-limited KcR-tree traversal.
-	rankLowerBound := func(doc vocab.KeywordSet) int {
-		s2 := score.Scorer{Query: q.WithDoc(doc), MaxDist: s.MaxDist}
-		worstLo := 0
-		for _, m := range objs {
-			refScore := s2.Score(m)
-			lo, _ := v.kc.RankBounds(cc, s2, refScore, m.ID, kwBoundDepth)
-			if lo+1 > worstLo {
-				worstLo = lo + 1
-			}
-		}
-		return worstLo
-	}
+	// wins is the acceptance rule. Candidates arrive in increasing Δdoc,
+	// so the best one so far never has a larger Δdoc than the candidate,
+	// and a rule breaking equal penalties toward the smaller Δdoc would
+	// never fire: the first candidate found at a penalty keeps it.
+	wins := func(pen float64) bool { return pen < best.Penalty-1e-15 }
 
 	var ctxErr error
 	evaluate := func(doc vocab.KeywordSet, deltaDoc int) {
@@ -160,43 +180,53 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 			return
 		}
 		if ctxErr = ctx.Err(); ctxErr != nil {
-			// Any rank computed after the trip is an undefined partial
-			// count; stop scoring candidates against it.
+			// Any list computed after the trip is an undefined partial
+			// answer; stop scoring candidates against it.
 			return
 		}
 		best.CandidatesGenerated++
 		docPart := (1 - opts.Lambda) * float64(deltaDoc) / docNorm
 		// Penalty floor: Δk ≥ 0, so docPart alone already loses ⇒ prune.
-		if docPart >= best.Penalty-1e-15 {
+		if !wins(docPart) {
 			return
 		}
-		// Cheap rank lower bound ⇒ penalty lower bound.
-		loDK := max(rankLowerBound(doc)-q.K, 0)
-		if opts.Lambda*float64(loDK)/kNorm+docPart >= best.Penalty-1e-15 {
-			return
+		// The largest rank the rule still accepts. The penalty does not
+		// decrease with the rank, so every rank up to it wins and none
+		// past it does; rank q.K wins because the floor passed.
+		capRank := q.K
+		for capRank < rankBefore && wins(penalty(capRank+1, docPart)) {
+			capRank++
 		}
 		best.CandidatesEvaluated++
-		rankAfter := worstRank(doc)
-		dk := rankAfter - q.K
-		if dk < 0 {
-			dk = 0
+		s2 := score.Scorer{Query: q.WithDoc(doc), MaxDist: s.MaxDist}
+		sc.cur = v.kc.TopK(cc, s2, capRank, nil, sc.cur[:0])
+		if ctxErr = ctx.Err(); ctxErr != nil {
+			return
 		}
-		pen := opts.Lambda*float64(dk)/kNorm + docPart
-		if pen < best.Penalty-1e-15 ||
-			(math.Abs(pen-best.Penalty) <= 1e-15 && deltaDoc < best.DeltaDoc) {
-			refined := q.WithDoc(doc)
-			if rankAfter > q.K {
-				refined.K = rankAfter
+		// The list is ordered like CountBetter, by (score desc, ID asc),
+		// so a missing object's position in it is its rank, and one
+		// outside it ranks past capRank and loses.
+		rankAfter := 0
+		for i := range objs {
+			r := listRank(sc.cur, objs[i].ID)
+			if r == 0 {
+				return
 			}
-			gen, eval := best.CandidatesGenerated, best.CandidatesEvaluated
-			best = KeywordResult{
-				Refined: refined, Penalty: pen,
-				DeltaK: dk, DeltaDoc: deltaDoc,
-				RankBefore: rankBefore, RankAfter: rankAfter,
-				Added:               doc.Diff(q.Doc),
-				Removed:             q.Doc.Diff(doc),
-				CandidatesGenerated: gen, CandidatesEvaluated: eval,
-			}
+			rankAfter = max(rankAfter, r)
+		}
+		refined := q.WithDoc(doc.Clone())
+		if rankAfter > q.K {
+			refined.K = rankAfter
+		}
+		sc.cur, sc.best = sc.best, sc.cur
+		gen, eval := best.CandidatesGenerated, best.CandidatesEvaluated
+		best = KeywordResult{
+			Refined: refined, Penalty: penalty(rankAfter, docPart),
+			DeltaK: max(rankAfter-q.K, 0), DeltaDoc: deltaDoc,
+			RankBefore: rankBefore, RankAfter: rankAfter,
+			Added:               doc.Diff(q.Doc),
+			Removed:             q.Doc.Diff(doc),
+			CandidatesGenerated: gen, CandidatesEvaluated: eval,
 		}
 	}
 
@@ -213,13 +243,12 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 				continue
 			}
 			forEachSubset(removable, removals, func(rem vocab.KeywordSet) {
-				kept := q.Doc.Diff(rem)
 				forEachSubset(addable, additions, func(add vocab.KeywordSet) {
-					doc := kept.Union(add)
-					if doc.Empty() {
+					sc.doc = appendCandidate(sc.doc[:0], q.Doc, rem, add)
+					if sc.doc.Empty() {
 						return
 					}
-					evaluate(doc, d)
+					evaluate(sc.doc, d)
 				})
 			})
 		}
@@ -227,7 +256,45 @@ func (e *Engine) AdaptKeywordsCtx(ctx context.Context, q score.Query, missing []
 	if ctxErr != nil {
 		return KeywordResult{}, ctxErr
 	}
+	if best.DeltaDoc == 0 {
+		// Keeping q.doc won: no candidate list describes it.
+		if best.Results, err = e.refinedTopK(ctx, v, best.Refined); err != nil {
+			return KeywordResult{}, err
+		}
+		return best, nil
+	}
+	best.Results = slices.Clone(sc.best[:min(best.Refined.K, len(sc.best))])
+	e.cache.PutTopK(v.set.Epoch(), best.Refined, best.Results)
 	return best, nil
+}
+
+// listRank returns the 1-based position of id in list, or 0 when it is
+// not there.
+func listRank(list []score.Result, id object.ID) int {
+	for i := range list {
+		if list[i].Obj.ID == id {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// appendCandidate appends the candidate keyword set (base \ rem) ∪ add
+// to dst in keyword order. rem ⊆ base and add is disjoint from base; all
+// three are canonical.
+func appendCandidate(dst, base, rem, add vocab.KeywordSet) vocab.KeywordSet {
+	i, j := 0, 0
+	for _, kw := range base {
+		if j < len(rem) && rem[j] == kw {
+			j++
+			continue
+		}
+		for ; i < len(add) && add[i] < kw; i++ {
+			dst = append(dst, add[i])
+		}
+		dst = append(dst, kw)
+	}
+	return append(dst, add[i:]...)
 }
 
 // forEachSubset calls fn for every size-k subset of set. fn must not

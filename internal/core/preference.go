@@ -54,6 +54,9 @@ type PreferenceResult struct {
 	// RankBefore is R(M, q): the worst missing-object rank under the
 	// initial query. RankAfter is R(M, q′) under the refined query.
 	RankBefore, RankAfter int
+	// Results is Refined's top-k, best first, on the snapshot the
+	// refinement was found on. The caller owns it.
+	Results []score.Result
 	// Candidates is the number of candidate weight vectors evaluated:
 	// the keep-w⃗ candidate and one per crossing group inside the
 	// penalty-feasible weight window (see prefWindow). Crossings outside
@@ -256,12 +259,27 @@ func (e *Engine) AdjustPreference(q score.Query, missing []object.ID, opts Prefe
 // AdjustPreferenceCtx is AdjustPreference under a context: the event
 // construction and every rank computation poll the context's
 // cancellation signal, and a canceled adjustment returns ctx.Err()
-// without caching anything.
+// without caching anything. The refined query's Results come from the
+// view the refinement was found on.
 func (e *Engine) AdjustPreferenceCtx(ctx context.Context, q score.Query, missing []object.ID, opts PreferenceOptions) (PreferenceResult, error) {
 	v, err := e.acquire()
 	if err != nil {
 		return PreferenceResult{}, err
 	}
+	res, err := e.adjustPreferenceOn(ctx, v, q, missing, opts)
+	if err != nil {
+		return PreferenceResult{}, err
+	}
+	if res.Results, err = e.refinedTopK(ctx, v, res.Refined); err != nil {
+		return PreferenceResult{}, err
+	}
+	return res, nil
+}
+
+// adjustPreferenceOn is AdjustPreferenceCtx on an acquired view,
+// without the Results: RefineBestCtx lists only the winning model's
+// refined query.
+func (e *Engine) adjustPreferenceOn(ctx context.Context, v engineView, q score.Query, missing []object.ID, opts PreferenceOptions) (PreferenceResult, error) {
 	w, err := e.validateWhyNot(ctx, v, q, missing)
 	if err != nil {
 		return PreferenceResult{}, err

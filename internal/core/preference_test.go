@@ -505,7 +505,9 @@ func assertCrossingsAgree(t *testing.T, e *Engine, q score.Query, miss []object.
 		bits := func(r PreferenceResult) [4]uint64 {
 			return [4]uint64{math.Float64bits(r.Penalty), math.Float64bits(r.DeltaW), math.Float64bits(r.Refined.W.Ws), math.Float64bits(r.Refined.W.Wt)}
 		}
-		res.Candidates = ref.Candidates
+		assertSameResults(t, fmt.Sprintf("q %+v missing %v λ=%v: results", q, miss, lambda), res.Results,
+			v.set.TopK(index.NoCancel, setScorer(v.set, res.Refined), res.Refined.K, nil, nil))
+		res.Candidates, res.Results = ref.Candidates, nil
 		if !reflect.DeepEqual(res, ref) || bits(res) != bits(ref) {
 			t.Fatalf("q %+v missing %v λ=%v: AdjustPreferenceCtx %+v, swept from the full scan %+v", q, miss, lambda, res, ref)
 		}

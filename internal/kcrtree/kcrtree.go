@@ -488,6 +488,32 @@ func (ix *Index) boundsAt(f *rtree.Flat[object.Object, Aug], s score.Scorer, qs 
 	return scoreBoundsAt(f, s, n)
 }
 
+// upperAt is the upper half of boundsAt, all the top-k search prunes
+// on: the same float expressions, without the lower bounds it would
+// discard.
+//
+//yask:hotpath
+func upperAt(f *rtree.Flat[object.Object, Aug], s *score.Scorer, qs *vocab.QuerySig, useSig bool, n int32, limit float64, ctr *index.SigCounters) float64 {
+	w := s.Query.W
+	spatial := w.Ws * (1 - s.SDistRectMin(f.Rect(n)))
+	if useSig {
+		ctr.Probes++
+		nsig := f.Sig(n)
+		if qs.Disjoint(nsig) {
+			ctr.Hits++
+			return spatial // textual bound exactly 0
+		}
+		quick := spatial + w.Wt*quickTSimHi(f.Aug(n), s, qs, nsig)
+		if quick < limit {
+			ctr.Hits++
+			return quick
+		}
+	}
+	ctr.Exact++
+	_, tHi := TSimBounds(*f.Aug(n), s.Query.Doc, s.Query.Sim)
+	return spatial + w.Wt*tHi
+}
+
 // Flat exposes the underlying frozen arena for structural tests.
 func (a *Arena) Flat() *rtree.Flat[object.Object, Aug] { return a.f }
 
@@ -511,10 +537,11 @@ func (a *Arena) Epoch() uint64 { return a.f.Epoch() }
 // Len returns the number of indexed objects in the arena.
 func (a *Arena) Len() int { return a.f.Len() }
 
-// TopK implements index.Snapshot through the shared index.BestFirstTopK
-// driver, pruning on the upper half of the two-sided score bounds. The
-// engine's top-k path uses the SetR-tree; this exists so a KcR-tree
-// arena satisfies the full contract.
+// TopK implements index.Snapshot through the shared
+// index.BestFirstTopK search, pruning on the upper half of the
+// two-sided score bounds. Its answers and node visits are the
+// SetR-tree's: the engine's top-k path uses the SetR-tree, and the
+// why-not refinements rank candidates and list refined queries here.
 //
 //yask:hotpath
 func (a *Arena) TopK(cc index.Cancel, s score.Scorer, k int, shared *index.Bound, dst []score.Result) []score.Result {
@@ -527,8 +554,7 @@ func (a *Arena) TopK(cc index.Cancel, s score.Scorer, k int, shared *index.Bound
 	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	dst = index.BestFirstTopK(f, cc, k, shared, sc.nodes, sc.cand,
 		func(n int32, limit float64) float64 {
-			_, hi := ix.boundsAt(f, s, &qs, useSig, n, limit, &sc.ctr)
-			return hi
+			return upperAt(f, &s, &qs, useSig, n, limit, &sc.ctr)
 		},
 		func(ei int32, e *rtree.LeafEntry[object.Object], limit float64) (float64, bool) {
 			return index.ScoreEntryCounted(&s, e, esigs, ei, &qs, limit, &sc.ctr)

@@ -597,3 +597,54 @@ func TestForEachCrossLinesSharesDescent(t *testing.T) {
 		t.Errorf("one descent for two lines costs %.2f of the nodes and %.2f of the probes of two, want ≤ 0.60", nodes, probes)
 	}
 }
+
+// TestTopKMatchesSetR pins what why-not refinements rely on when they
+// list a refined query's top-k from the KcR-tree: its answers are the
+// SetR-tree's byte for byte, found by visiting the same nodes, with
+// signatures on and off, under both similarity models, and at every k
+// from a session's to a refinement's enlarged one.
+func TestTopKMatchesSetR(t *testing.T) {
+	ds := testDataset(t, 5000, 31)
+	qs := dataset.Workload(ds, dataset.WorkloadConfig{
+		Queries: 16, Seed: 32, K: 10, Keywords: 2, W: score.DefaultWeights, FromObjectDocs: true,
+	})
+	for _, sigs := range []bool{true, false} {
+		kc, err := BuildWith(ds.Objects, 16, sigs).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		setIx := settree.BuildWith(ds.Objects, 16, sigs)
+		set, err := setIx.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		type ranked struct {
+			id    object.ID
+			score float64
+		}
+		flatten := func(res []score.Result) []ranked {
+			out := make([]ranked, len(res))
+			for i, r := range res {
+				out[i] = ranked{r.Obj.ID, r.Score}
+			}
+			return out
+		}
+		for qi, q := range qs {
+			if qi%2 == 1 {
+				q.Sim = score.SimDice
+			}
+			q.W = score.WeightsFromWt(0.1 + 0.8*float64(qi)/float64(len(qs)))
+			for _, k := range []int{1, 10, 60} {
+				s := kc.Scorer(q)
+				kc.f.Stats().Reset()
+				setIx.Stats().Reset()
+				got := flatten(kc.TopK(index.NoCancel, s, k, nil, nil))
+				want := flatten(set.TopK(index.NoCancel, s, k, nil, nil))
+				kcNodes, setNodes := kc.f.Stats().NodeAccesses(), setIx.Stats().NodeAccesses()
+				if len(got) != k || !slices.Equal(got, want) || kcNodes != setNodes {
+					t.Fatalf("signatures %v q%d k=%d: KcR %v in %d nodes, SetR %v in %d", sigs, qi, k, got, kcNodes, want, setNodes)
+				}
+			}
+		}
+	}
+}

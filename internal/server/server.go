@@ -351,7 +351,7 @@ type whyNotResponse struct {
 	Keyword    *yask.KeywordRefinement    `json:"keyword,omitempty"`
 	Best       *yask.BestRefinement       `json:"best,omitempty"`
 	// Results is the refined query's result set, displayed directly in
-	// the demo UI.
+	// the demo UI. It is computed on the same snapshot as the refinement.
 	Results   []yask.Result `json:"results"`
 	ElapsedMS float64       `json:"elapsedMs"`
 }
@@ -379,7 +379,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Preference = ref
-		refined = ref.Query
+		refined, resp.Results = ref.Query, ref.Results
 	case "keyword":
 		ref, err := s.engine.WhyNotKeywordsCtx(r.Context(), query, req.Missing, opts)
 		if err != nil {
@@ -387,7 +387,7 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Keyword = ref
-		refined = ref.Query
+		refined, resp.Results = ref.Query, ref.Results
 	case "best":
 		ref, err := s.engine.WhyNotBestCtx(r.Context(), query, req.Missing, opts)
 		if err != nil {
@@ -395,21 +395,11 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Best = ref
-		refined = ref.Query
+		refined, resp.Results = ref.Query, ref.Results
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown model %q (want preference, keyword, or best)", req.Model))
 		return
 	}
-	results, err := s.engine.TopKCtx(r.Context(), refined)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.writeQueryError(w, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp.Results = results
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	penalty := 0.0
 	switch {

@@ -159,6 +159,30 @@ func TestWhyNotEndpointBothModels(t *testing.T) {
 		if model == "keyword" && wr.Keyword == nil {
 			t.Fatal("keyword refinement missing from response")
 		}
+		var refined yask.Query
+		if model == "preference" {
+			refined = wr.Preference.Query
+		} else {
+			refined = wr.Keyword.Query
+		}
+		assertResultsMatchQuery(t, ts, model, refined, wr.Results)
+	}
+}
+
+// assertResultsMatchQuery fails unless a why-not response's results are
+// exactly what /api/query answers for the refined query it returned.
+func assertResultsMatchQuery(t *testing.T, ts *httptest.Server, model string, refined yask.Query, results []yask.Result) {
+	t.Helper()
+	var qr queryResponse
+	status, raw := postJSON(t, ts.URL+"/api/query", queryRequest{
+		X: refined.X, Y: refined.Y, Keywords: refined.Keywords, K: refined.K,
+		Wt: refined.Wt, Similarity: refined.Similarity,
+	}, &qr)
+	if status != http.StatusOK {
+		t.Fatalf("%s: refined query status %d: %s", model, status, raw)
+	}
+	if len(results) != refined.K || !reflect.DeepEqual(results, qr.Results) {
+		t.Fatalf("%s: why-not results %+v, /api/query of the refined query %+v", model, results, qr.Results)
 	}
 }
 
@@ -342,6 +366,7 @@ func TestWhyNotBestModel(t *testing.T) {
 	if !found {
 		t.Fatalf("best refinement did not revive %d", missing)
 	}
+	assertResultsMatchQuery(t, ts, "best", wr.Best.Query, wr.Results)
 }
 
 func TestProfileEndpoint(t *testing.T) {

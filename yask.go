@@ -138,6 +138,9 @@ type PreferenceRefinement struct {
 	RankBefore, RankAfter int
 	// Query is the ready-to-run refined query.
 	Query Query
+	// Results is Query's result, computed on the same snapshot as the
+	// refinement itself. It is not part of the JSON form.
+	Results []Result `json:"-"`
 }
 
 // KeywordRefinement is a keyword-adapted refined query.
@@ -156,6 +159,9 @@ type KeywordRefinement struct {
 	RankBefore, RankAfter int
 	// Query is the ready-to-run refined query.
 	Query Query
+	// Results is Query's result, computed on the same snapshot as the
+	// refinement itself. It is not part of the JSON form.
+	Results []Result `json:"-"`
 }
 
 // Engine is the public YASK engine: a spatial keyword top-k query
@@ -512,6 +518,11 @@ func (e *Engine) TopKCtx(ctx context.Context, q Query) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.results(sq, res), nil
+}
+
+// results converts core's results of query sq to the public form.
+func (e *Engine) results(sq score.Query, res []score.Result) []Result {
 	s := score.NewScorer(sq, e.core.Collection())
 	out := make([]Result, len(res))
 	for i, r := range res {
@@ -522,7 +533,7 @@ func (e *Engine) TopKCtx(ctx context.Context, q Query) ([]Result, error) {
 			Keywords: e.vocab.Words(r.Obj.Doc),
 		}
 	}
-	return out, nil
+	return out
 }
 
 // TopKBatch answers many top-k queries concurrently over a bounded
@@ -690,18 +701,23 @@ func (e *Engine) WhyNotKeywordsBatch(jobs []WhyNotKeywordsJob, opts RefineOption
 			errs[i] = runErrs[n]
 			continue
 		}
-		res := results[n]
-		out[i] = &KeywordRefinement{
-			Keywords: e.vocab.Words(res.Refined.Doc),
-			K:        res.Refined.K,
-			Added:    e.vocab.Words(res.Added),
-			Removed:  e.vocab.Words(res.Removed),
-			Penalty:  res.Penalty, DeltaK: res.DeltaK, DeltaDoc: res.DeltaDoc,
-			RankBefore: res.RankBefore, RankAfter: res.RankAfter,
-			Query: e.publicQuery(res.Refined),
-		}
+		out[i] = e.keywordRefinement(results[n])
 	}
 	return out, errs
+}
+
+// keywordRefinement converts core's keyword adaption to the public form.
+func (e *Engine) keywordRefinement(res core.KeywordResult) *KeywordRefinement {
+	return &KeywordRefinement{
+		Keywords: e.vocab.Words(res.Refined.Doc),
+		K:        res.Refined.K,
+		Added:    e.vocab.Words(res.Added),
+		Removed:  e.vocab.Words(res.Removed),
+		Penalty:  res.Penalty, DeltaK: res.DeltaK, DeltaDoc: res.DeltaDoc,
+		RankBefore: res.RankBefore, RankAfter: res.RankAfter,
+		Query:   e.publicQuery(res.Refined),
+		Results: e.results(res.Refined, res.Results),
+	}
 }
 
 func toInternalIDs(missing []ObjectID) []object.ID {
@@ -764,7 +780,8 @@ func (e *Engine) WhyNotPreferenceCtx(ctx context.Context, q Query, missing []Obj
 		Ws: res.Refined.W.Ws, Wt: res.Refined.W.Wt, K: res.Refined.K,
 		Penalty: res.Penalty, DeltaK: res.DeltaK, DeltaW: res.DeltaW,
 		RankBefore: res.RankBefore, RankAfter: res.RankAfter,
-		Query: e.publicQuery(res.Refined),
+		Query:   e.publicQuery(res.Refined),
+		Results: e.results(res.Refined, res.Results),
 	}, nil
 }
 
@@ -786,15 +803,7 @@ func (e *Engine) WhyNotKeywordsCtx(ctx context.Context, q Query, missing []Objec
 	if err != nil {
 		return nil, err
 	}
-	return &KeywordRefinement{
-		Keywords: e.vocab.Words(res.Refined.Doc),
-		K:        res.Refined.K,
-		Added:    e.vocab.Words(res.Added),
-		Removed:  e.vocab.Words(res.Removed),
-		Penalty:  res.Penalty, DeltaK: res.DeltaK, DeltaDoc: res.DeltaDoc,
-		RankBefore: res.RankBefore, RankAfter: res.RankAfter,
-		Query: e.publicQuery(res.Refined),
-	}, nil
+	return e.keywordRefinement(res), nil
 }
 
 // Rank returns the true rank of an object under the query — the number
