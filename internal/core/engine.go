@@ -361,10 +361,15 @@ func (e *Engine) applyRemoveLocked(id object.ID) {
 	}
 }
 
-// Refresh re-freezes both index arenas and atomically publishes them, making every buffered mutation visible
-// to queries. The copy-on-write freeze runs off the query path:
-// concurrent queries keep traversing the old snapshots until the swap.
-// Explicit refreshes are never debounced.
+// Refresh re-freezes both index arenas and atomically publishes them,
+// making every buffered mutation visible to queries. Queries that
+// already hold a view keep traversing the old snapshots, but the
+// publish is not off the query path: refreshLocked holds epochMu's
+// write side across both freezes, so every acquire or acquireSet
+// issued during a publish waits until both families have re-frozen.
+// A freeze re-hashes keyword signatures only for the nodes the
+// buffered mutations touched (rtree.Tree.Freeze). Explicit refreshes
+// are never debounced.
 func (e *Engine) Refresh() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -102,9 +102,25 @@ func (f *Flat[L, A]) Epoch() uint64 { return f.epoch }
 // mutations of the tree are not reflected in the snapshot; the snapshot
 // records the tree generation it was frozen at, and CheckFresh reports
 // an error once the tree has moved past it.
+//
+// Signatures carry over between freezes. Freeze records each node's ID
+// in the new Flat and marks the node clean; recomputeAug, which every
+// insert, delete, split and condense runs on each node it changes,
+// marks it unclean again. The next Freeze copies a clean node's
+// signature, and a clean leaf's run of entry signatures, from the
+// previous Flat, and calls the KeywordSigger only for changed or new
+// nodes. A write that touches one root-to-leaf path therefore re-hashes
+// that path instead of the whole tree. The copied values are the ones
+// the KeywordSigger would return, so the output is identical to a
+// from-scratch freeze; a BulkLoad, a tree's first freeze, and the first
+// freeze after signatures are switched on compute every signature.
+//
+// Freeze writes this per-node bookkeeping, so it must be serialized
+// with the tree's mutations and with other freezes of the same tree.
 func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 	f := &Flat[L, A]{stats: &t.stats, size: t.size, tree: t, gen: t.gen.Load()}
 	if t.root == nil {
+		t.last = nil
 		return f
 	}
 	nodes := t.NodeCount()
@@ -119,9 +135,12 @@ func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 	if t.noFreezeSigs {
 		sigger = nil
 	}
+	// prev is the snapshot the clean nodes' flatIDs index into.
+	var prev *Flat[L, A]
 	if sigger != nil {
 		f.sigs = make([]vocab.Signature, 0, nodes)
 		f.entrySigs = make([]vocab.Signature, 0, t.size)
+		prev = t.last
 	}
 
 	// Breadth-first layout: the queue position of a node is its ID, so
@@ -131,9 +150,12 @@ func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 	queue[0] = t.root
 	for head := 0; head < len(queue); head++ {
 		n := queue[head]
+		carry := prev != nil && n.clean
 		f.rects = append(f.rects, n.rect)
 		f.augs = append(f.augs, n.aug)
-		if sigger != nil {
+		if carry {
+			f.sigs = append(f.sigs, prev.sigs[n.flatID])
+		} else if sigger != nil {
 			f.sigs = append(f.sigs, sigger.NodeSig(&n.aug))
 		}
 		if n.leaf {
@@ -142,7 +164,9 @@ func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 			f.entryStart = append(f.entryStart, int32(len(f.entries)))
 			f.entries = append(f.entries, n.entries...)
 			f.entryEnd = append(f.entryEnd, int32(len(f.entries)))
-			if sigger != nil {
+			if carry {
+				f.entrySigs = append(f.entrySigs, prev.entrySigs[prev.entryStart[n.flatID]:prev.entryEnd[n.flatID]]...)
+			} else if sigger != nil {
 				for i := range n.entries {
 					f.entrySigs = append(f.entrySigs, sigger.LeafSig(&n.entries[i].Item))
 				}
@@ -155,6 +179,11 @@ func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 			f.entryStart = append(f.entryStart, 0)
 			f.entryEnd = append(f.entryEnd, 0)
 		}
+		n.clean, n.flatID = true, int32(head)
+	}
+	t.last = nil
+	if sigger != nil {
+		t.last = f
 	}
 	return f
 }
@@ -275,3 +304,29 @@ func (f *Flat[L, A]) Sig(n int32) *vocab.Signature { return &f.sigs[n] }
 //
 //yask:hotpath
 func (f *Flat[L, A]) EntrySigs() []vocab.Signature { return f.entrySigs }
+
+// VerifySigs checks the snapshot's signature columns against s: every
+// node signature must equal s.NodeSig of the node's augmentation and
+// every entry signature s.LeafSig of its item. It returns an error
+// naming the first mismatch, or nil; a snapshot without signature
+// columns passes. Intended for tests and debugging.
+func (f *Flat[L, A]) VerifySigs(s KeywordSigger[L, A]) error {
+	if !f.HasSigs() {
+		return nil
+	}
+	if len(f.sigs) != len(f.rects) || len(f.entrySigs) != len(f.entries) {
+		return fmt.Errorf("rtree: %d node and %d entry signatures for %d nodes and %d entries",
+			len(f.sigs), len(f.entrySigs), len(f.rects), len(f.entries))
+	}
+	for n := range f.sigs {
+		if f.sigs[n] != s.NodeSig(&f.augs[n]) {
+			return fmt.Errorf("rtree: node %d signature differs from its augmentation's", n)
+		}
+	}
+	for i := range f.entrySigs {
+		if f.entrySigs[i] != s.LeafSig(&f.entries[i].Item) {
+			return fmt.Errorf("rtree: entry %d signature differs from its item's", i)
+		}
+	}
+	return nil
+}

@@ -143,6 +143,10 @@ type Tree[L, A any] struct {
 	// packages whose signature layer is disabled, so the off switch
 	// skips the column build cost and memory, not just the probes.
 	noFreezeSigs bool
+	// last is the Flat of the most recent Freeze that built signature
+	// columns (nil otherwise). The next Freeze copies the signatures of
+	// clean nodes from it instead of re-hashing them.
+	last *Flat[L, A]
 }
 
 // SetFreezeSigs controls whether Freeze materializes keyword-signature
@@ -169,9 +173,15 @@ func New[L, A any](aug Augmenter[L, A], maxEntries int) *Tree[L, A] {
 // nodes carry children. Both carry the MBR of everything below and the
 // augmentation summary.
 type Node[L, A any] struct {
-	rect     geo.Rect
-	aug      A
-	leaf     bool
+	rect geo.Rect
+	aug  A
+	leaf bool
+	// clean reports that the node's augmentation and, for a leaf, its
+	// entries are unchanged since the tree's last Freeze, which laid the
+	// node out as flatID. recomputeAug clears it; a new node starts
+	// unclean.
+	clean    bool
+	flatID   int32
 	entries  []LeafEntry[L]
 	children []*Node[L, A]
 }
@@ -241,8 +251,11 @@ func (t *Tree[L, A]) NodeCount() int {
 	return count(t.root)
 }
 
-// recomputeAug rebuilds a node's summary from its direct content.
+// recomputeAug rebuilds a node's summary from its direct content. Every
+// change to a node's entries or children ends here, so it is also where
+// the node is marked as changed since the last Freeze.
 func (t *Tree[L, A]) recomputeAug(n *Node[L, A]) {
+	n.clean = false
 	if n.leaf {
 		if len(n.entries) == 0 {
 			var zero A
