@@ -60,32 +60,44 @@ func SigScoreEntry(s *score.Scorer, e *rtree.LeafEntry[object.Object], esig *voc
 }
 
 // PrepareSig readies one traversal's signature state: the query
-// signature (computed once, a pure stack value) and the arena's
-// entry-signature column, when the family's layer is enabled and the
-// arena carries columns; the zero state with use = false otherwise.
-// Every traversal entry point of every family starts with this call.
+// signature (computed once, a pure stack value) and use = true when
+// the family's layer is enabled and the arena carries signature
+// columns; the zero state with use = false otherwise. Every traversal
+// entry point of every family starts with this call.
 //
 //yask:hotpath
-func PrepareSig[A any](f *rtree.Flat[object.Object, A], enabled bool, qdoc vocab.KeywordSet) (qs vocab.QuerySig, esigs []vocab.Signature, use bool) {
+func PrepareSig[A any](f *rtree.Flat[object.Object, A], enabled bool, qdoc vocab.KeywordSet) (qs vocab.QuerySig, use bool) {
 	if !enabled || !f.HasSigs() {
-		return vocab.QuerySig{}, nil, false
+		return vocab.QuerySig{}, false
 	}
-	return vocab.NewQuerySig(qdoc), f.EntrySigs(), true
+	return vocab.NewQuerySig(qdoc), true
+}
+
+// LeafSigs returns the entry signatures of leaf n, parallel to
+// f.Entries(n), when use (PrepareSig's) is set, and nil otherwise:
+// the ss argument of ScoreEntryCounted.
+//
+//yask:hotpath
+func LeafSigs[A any](f *rtree.Flat[object.Object, A], use bool, n int32) []vocab.Signature {
+	if !use {
+		return nil
+	}
+	return f.LeafSigs(n)
 }
 
 // ScoreEntryCounted is the one leaf-entry scoring wrapper every
 // set-scored traversal shares: SigScoreEntry through the counter
-// protocol when the entry signature column is present (esigs non-nil),
-// the plain exact score otherwise. Returned ok = false means the entry
-// is provably strictly below limit and must be skipped. It is a plain
-// function — call it from an inline closure so the closure itself can
-// stay off the heap.
+// protocol when the leaf's entry signatures are present (ss non-nil,
+// e is the leaf's entry i), the plain exact score otherwise. Returned
+// ok = false means the entry is provably strictly below limit and must
+// be skipped. It is a plain function — call it from an inline closure
+// so the closure itself can stay off the heap.
 //
 //yask:hotpath
-func ScoreEntryCounted(s *score.Scorer, e *rtree.LeafEntry[object.Object], esigs []vocab.Signature, ei int32, qs *vocab.QuerySig, limit float64, ctr *SigCounters) (scv float64, ok bool) {
-	if esigs != nil {
+func ScoreEntryCounted(s *score.Scorer, e *rtree.LeafEntry[object.Object], ss []vocab.Signature, i int, qs *vocab.QuerySig, limit float64, ctr *SigCounters) (scv float64, ok bool) {
+	if ss != nil {
 		ctr.Probes++
-		scv, skip, avoided := SigScoreEntry(s, e, &esigs[ei], qs, limit)
+		scv, skip, avoided := SigScoreEntry(s, e, &ss[i], qs, limit)
 		if avoided {
 			ctr.Hits++
 		} else {
@@ -183,12 +195,13 @@ func NodeOrder(a, b NodeEntry) bool { return a.Bound > b.Bound }
 // bound: bound(n, limit) may return any admissible upper bound when the
 // result is ≥ limit, and any value < limit once a cheaper bound already
 // proves the node cannot contribute (the driver discards it either
-// way). scoreEntry(ei, e, limit) returns the entry's exact score, or
+// way). scoreEntry(e, ss, i, limit) returns the entry's exact score, or
 // ok = false to skip an entry it proved strictly below limit — entries
 // at the limit must be scored, since an equal score with a smaller ID
-// still wins the tie-break. Entries are addressed by arena index ei so
-// families can consult per-entry signature columns, and passed by
-// pointer to keep the hot loop free of large copies.
+// still wins the tie-break. e is entry i of its leaf and ss the leaf's
+// entry signatures (nil unless useSig), so families can consult them;
+// entries are passed by pointer to keep the hot loop free of large
+// copies.
 //
 // A node whose bound is strictly below the pruning limit cannot
 // contribute; ties must still be expanded — they can hide an
@@ -212,15 +225,15 @@ func BestFirstTopK[A any](
 	shared *Bound,
 	nodes *pqueue.Queue[NodeEntry],
 	cand *pqueue.Queue[score.Result],
+	useSig bool,
 	bound func(n int32, limit float64) float64,
-	scoreEntry func(ei int32, e *rtree.LeafEntry[object.Object], limit float64) (float64, bool),
+	scoreEntry func(e *rtree.LeafEntry[object.Object], ss []vocab.Signature, i int, limit float64) (float64, bool),
 	dst []score.Result,
 ) []score.Result {
 	if f.Empty() || k <= 0 {
 		return dst
 	}
 	negInf := math.Inf(-1)
-	entries := f.AllEntries()
 	nodes.Push(NodeEntry{Bound: bound(0, negInf), Node: 0})
 	accesses := int64(0)
 	countdown := CheckInterval
@@ -248,13 +261,13 @@ func BestFirstTopK[A any](
 		accesses++
 		if f.IsLeaf(n) {
 			elimit := negInf
-			eLo, eHi := f.EntryRange(n)
-			for ei := eLo; ei < eHi; ei++ {
-				e := &entries[ei]
+			es, ss := f.Entries(n), LeafSigs(f, useSig, n)
+			for i := range es {
+				e := &es[i]
 				if cand.Len() == k {
 					elimit = cand.Peek().Score
 				}
-				scv, ok := scoreEntry(ei, e, elimit)
+				scv, ok := scoreEntry(e, ss, i, elimit)
 				if !ok {
 					continue
 				}

@@ -16,7 +16,9 @@ import (
 // refresh each published node signature must equal the one the KcR
 // augmenter computes from the node's augmentation, and each entry
 // signature the one of its object, however many of them the refresh
-// carried over from the previous arena.
+// carried over from the previous arena; and each node's augmentation
+// and MBR must equal the fold over its entries or children, however the
+// writes since the last refresh reached them.
 func TestRefreshSignaturesMatchFromScratch(t *testing.T) {
 	ds := testDataset(t, 400, 92)
 	space := ds.Objects.Space()
@@ -69,6 +71,9 @@ func TestRefreshSignaturesMatchFromScratch(t *testing.T) {
 				t.Fatalf("%s: %d items, signatures %v; want %d, %v", ctx, f.Len(), f.HasSigs(), len(live), sigsOn)
 			}
 			if err := f.VerifySigs(augmenter{}); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if err := f.VerifySummaries(augmenter{}); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
 		}

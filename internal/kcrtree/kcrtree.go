@@ -551,13 +551,13 @@ func (a *Arena) TopK(cc index.Cancel, s score.Scorer, k int, shared *index.Bound
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
-	dst = index.BestFirstTopK(f, cc, k, shared, sc.nodes, sc.cand,
+	qs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
+	dst = index.BestFirstTopK(f, cc, k, shared, sc.nodes, sc.cand, useSig,
 		func(n int32, limit float64) float64 {
 			return upperAt(f, &s, &qs, useSig, n, limit, &sc.ctr)
 		},
-		func(ei int32, e *rtree.LeafEntry[object.Object], limit float64) (float64, bool) {
-			return index.ScoreEntryCounted(&s, e, esigs, ei, &qs, limit, &sc.ctr)
+		func(e *rtree.LeafEntry[object.Object], ss []vocab.Signature, i int, limit float64) (float64, bool) {
+			return index.ScoreEntryCounted(&s, e, ss, i, &qs, limit, &sc.ctr)
 		},
 		dst)
 	sc.ctr.Flush(f.Stats())
@@ -579,15 +579,14 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
-	entries := f.AllEntries()
+	qs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	count := 0
 	sc.stack = index.PrunedDFS(f, cc, sc.stack, 1,
 		func(n int32, _ uint64) {
-			eLo, eHi := f.EntryRange(n)
-			for ei := eLo; ei < eHi; ei++ {
-				e := &entries[ei]
-				scv, ok := index.ScoreEntryCounted(&s, e, esigs, ei, &qs, refScore, &sc.ctr)
+			es, ss := f.Entries(n), index.LeafSigs(f, useSig, n)
+			for i := range es {
+				e := &es[i]
+				scv, ok := index.ScoreEntryCounted(&s, e, ss, i, &qs, refScore, &sc.ctr)
 				if ok && score.Better(scv, e.Item.ID, refScore, tie) {
 					count++
 				}
@@ -632,8 +631,7 @@ func (a *Arena) RankBounds(cc index.Cancel, s score.Scorer, refScore float64, ti
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
-	entries := f.AllEntries()
+	qs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	frames := append(sc.frames[:0], depthFrame{node: 0}) //yask:allocok(pooled scratch; grows only on a pool miss)
 	accesses := int64(0)
 	countdown := index.CheckInterval
@@ -648,10 +646,10 @@ func (a *Arena) RankBounds(cc index.Cancel, s score.Scorer, refScore float64, ti
 		frames = frames[:len(frames)-1]
 		accesses++
 		if f.IsLeaf(fr.node) {
-			eLo, eHi := f.EntryRange(fr.node)
-			for ei := eLo; ei < eHi; ei++ {
-				e := &entries[ei]
-				scv, ok := index.ScoreEntryCounted(&s, e, esigs, ei, &qs, refScore, &sc.ctr)
+			es, ss := f.Entries(fr.node), index.LeafSigs(f, useSig, fr.node)
+			for i := range es {
+				e := &es[i]
+				scv, ok := index.ScoreEntryCounted(&s, e, ss, i, &qs, refScore, &sc.ctr)
 				if ok && score.Better(scv, e.Item.ID, refScore, tie) {
 					lo++
 					hi++
@@ -711,19 +709,18 @@ func (a *Arena) ForEachCrossLines(cc index.Cancel, s score.Scorer, lines []index
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
-	entries := f.AllEntries()
+	qs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	sc.stack = index.PrunedDFS(f, cc, sc.stack, index.LinesMask(lines),
 		func(n int32, mask uint64) {
-			eLo, eHi := f.EntryRange(n)
+			es := f.Entries(n)
 			// The leaf's own spatial bounds hold for every entry. When
 			// even its spatially worst point is not below any line at
 			// similarity 0, no entry can be settled: visit them all
 			// without any per-entry work.
 			r := f.Rect(n)
 			if !useSig || index.BelowMask(lines, mask, 1-s.SDistRectMax(r), 0) == 0 {
-				for ei := eLo; ei < eHi; ei++ {
-					visit(&entries[ei].Item, mask)
+				for i := range es {
+					visit(&es[i].Item, mask)
 				}
 				return
 			}
@@ -741,8 +738,9 @@ func (a *Arena) ForEachCrossLines(cc index.Cancel, s score.Scorer, lines []index
 			// visiting the entry for it would add nothing.
 			leafA := 1 - s.SDistRectMin(r)
 			leafOpen := index.BelowMask(lines, mask, leafA, 0)
-			for ei := eLo; ei < eHi; ei++ {
-				e := &entries[ei]
+			ss := f.LeafSigs(n)
+			for i := range es {
+				e := &es[i]
 				ea, open := leafA, leafOpen
 				if open != mask {
 					ea = 1 - s.SDistAt(e.Item.Loc)
@@ -751,10 +749,10 @@ func (a *Arena) ForEachCrossLines(cc index.Cancel, s score.Scorer, lines []index
 				below := uint64(0)
 				if open != 0 {
 					sc.ctr.Probes++
-					if qs.Disjoint(&esigs[ei]) {
+					if qs.Disjoint(&ss[i]) {
 						below = open
 					} else {
-						below = index.BelowMask(lines, open, ea, entrySimHi(&s, e, &esigs[ei], &qs))
+						below = index.BelowMask(lines, open, ea, entrySimHi(&s, e, &ss[i], &qs))
 					}
 					if below != 0 {
 						sc.ctr.Hits++

@@ -68,6 +68,9 @@ type ArenaMeta struct {
 // violates the family's invariants, no matter the bytes.
 type ArenaCodec[L, A any] interface {
 	// AppendItems appends the leaf-item column for entries to dst.
+	// AppendArena calls it once per leaf run on the same dst, so
+	// appending two runs in turn must equal appending their
+	// concatenation.
 	AppendItems(dst []byte, entries []LeafEntry[L]) []byte
 	// DecodeItems reconstructs the n leaf entries (item AND rect) from
 	// the column payload. blob may alias an mmap'd file: decoded values
@@ -271,10 +274,30 @@ func decodeVocab(path string, blob []byte, count uint32) ([]string, error) {
 // childStart, childEnd, entryStart, entryEnd, node signatures, entry
 // signatures (both empty when the snapshot has none), the codec's leaf
 // items, the codec's node augmentations, and the embedded vocabulary.
+// The leaf runs are written back to back in node order, and the entry
+// ranges are their offsets in that concatenation.
 func (f *Flat[L, A]) AppendArena(dst []byte, codec ArenaCodec[L, A], meta ArenaMeta) []byte {
+	nodes := len(f.rects)
+	entryStart := make([]int32, nodes)
+	entryEnd := make([]int32, nodes)
+	var entrySigs, items []byte
+	off := int32(0)
+	for n := 0; n < nodes; n++ {
+		if !f.IsLeaf(int32(n)) {
+			continue
+		}
+		run := f.leafEntries[n]
+		entryStart[n] = off
+		off += int32(len(run))
+		entryEnd[n] = off
+		items = codec.AppendItems(items, run)
+		if f.HasSigs() {
+			entrySigs = appendSigs(entrySigs, f.leafSigs[n])
+		}
+	}
 	h := arenaHeader{
-		nodes:      uint32(len(f.rects)),
-		entries:    uint32(len(f.entries)),
+		nodes:      uint32(nodes),
+		entries:    uint32(off),
 		generation: f.gen,
 		lsn:        meta.LSN,
 		maxDist:    meta.MaxDist,
@@ -287,11 +310,11 @@ func (f *Flat[L, A]) AppendArena(dst []byte, codec ArenaCodec[L, A], meta ArenaM
 	dst = appendColumn(dst, appendRects(nil, f.rects))
 	dst = appendColumn(dst, appendInt32s(nil, f.childStart))
 	dst = appendColumn(dst, appendInt32s(nil, f.childEnd))
-	dst = appendColumn(dst, appendInt32s(nil, f.entryStart))
-	dst = appendColumn(dst, appendInt32s(nil, f.entryEnd))
+	dst = appendColumn(dst, appendInt32s(nil, entryStart))
+	dst = appendColumn(dst, appendInt32s(nil, entryEnd))
 	dst = appendColumn(dst, appendSigs(nil, f.sigs))
-	dst = appendColumn(dst, appendSigs(nil, f.entrySigs))
-	dst = appendColumn(dst, codec.AppendItems(nil, f.entries))
+	dst = appendColumn(dst, entrySigs)
+	dst = appendColumn(dst, items)
 	dst = appendColumn(dst, codec.AppendAugs(nil, f.augs))
 	dst = appendColumn(dst, appendVocab(nil, meta.Vocab))
 	return dst
@@ -524,19 +547,35 @@ func BuildFlat[L, A any](r *RawArena, codec ArenaCodec[L, A]) (*Flat[L, A], erro
 	if len(augs) != int(r.hdr.nodes) {
 		return nil, corruptArena(r.path, 0, "codec decoded %d augs, want %d", len(augs), r.hdr.nodes)
 	}
+	// Slice the decoded items and the mapped signature column per leaf:
+	// the runs alias them, no copy. The full slice expressions cap each
+	// run at its end, so no run reaches into the next.
+	leafEntries := make([][]LeafEntry[L], r.hdr.nodes)
+	var leafSigs [][]vocab.Signature
+	if r.sigs != nil {
+		leafSigs = make([][]vocab.Signature, r.hdr.nodes)
+	}
+	for n := range leafEntries {
+		if r.cStart[n] != r.cEnd[n] {
+			continue
+		}
+		lo, hi := r.eStart[n], r.eEnd[n]
+		leafEntries[n] = entries[lo:hi:hi]
+		if leafSigs != nil {
+			leafSigs[n] = r.eSigs[lo:hi:hi]
+		}
+	}
 	return &Flat[L, A]{
-		rects:      r.rects,
-		augs:       augs,
-		childStart: r.cStart,
-		childEnd:   r.cEnd,
-		entryStart: r.eStart,
-		entryEnd:   r.eEnd,
-		entries:    entries,
-		sigs:       r.sigs,
-		entrySigs:  r.eSigs,
-		size:       len(entries),
-		stats:      &Stats{},
-		gen:        r.hdr.generation,
+		rects:       r.rects,
+		augs:        augs,
+		childStart:  r.cStart,
+		childEnd:    r.cEnd,
+		leafEntries: leafEntries,
+		sigs:        r.sigs,
+		leafSigs:    leafSigs,
+		size:        len(entries),
+		stats:       &Stats{},
+		gen:         r.hdr.generation,
 	}, nil
 }
 

@@ -91,9 +91,7 @@ func flatsEqual(a, b *Flat[id, None]) bool {
 	return reflect.DeepEqual(a.rects, b.rects) &&
 		reflect.DeepEqual(a.childStart, b.childStart) &&
 		reflect.DeepEqual(a.childEnd, b.childEnd) &&
-		reflect.DeepEqual(a.entryStart, b.entryStart) &&
-		reflect.DeepEqual(a.entryEnd, b.entryEnd) &&
-		reflect.DeepEqual(a.entries, b.entries) &&
+		reflect.DeepEqual(a.leafEntries, b.leafEntries) &&
 		a.size == b.size
 }
 

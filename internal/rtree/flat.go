@@ -3,6 +3,7 @@ package rtree
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"github.com/yask-engine/yask/internal/geo"
 	"github.com/yask-engine/yask/internal/vocab"
@@ -51,38 +52,42 @@ func (e *StaleSnapshotError) Error() string {
 // Is reports whether target is ErrStaleSnapshot.
 func (e *StaleSnapshotError) Is(target error) bool { return target == ErrStaleSnapshot }
 
-// Flat is a frozen, contiguous snapshot of a Tree laid out as a struct
-// of arrays: per-node MBRs, augmentations, child ranges, and leaf
-// payload ranges live in flat slices indexed by a dense int32 node ID,
-// and all leaf entries share one backing slice. Nodes are numbered in
-// breadth-first order, so the children of any node are a contiguous
-// index range and the root is node 0.
+// Flat is a frozen snapshot of a Tree laid out as a struct of arrays:
+// per-node MBRs, augmentations and child ranges live in flat slices
+// indexed by a dense int32 node ID, and each leaf's entries (and, with
+// signatures, their signatures) form one run of their own. Nodes are
+// numbered in breadth-first order, so the children of any node are a
+// contiguous index range and the root is node 0.
 //
 // The layout removes the pointer chasing of the Node graph from query
-// traversals: a best-first search touches four parallel slices instead
+// traversals: a best-first search touches a few parallel slices instead
 // of scattered heap objects, which is what makes the steady-state query
 // paths cache-friendly and allocation-free. Augmentation values are
 // copied by value, so slice-backed summaries (keyword sets, postings,
 // count maps) share their backing arrays with the source tree.
 //
-// A Flat is immutable and safe for concurrent readers. It records node
-// accesses into the source tree's Stats collector, so existing
-// instrumentation keeps working after a freeze.
+// A leaf run is its own allocation, never written after the Freeze that
+// made it, and shared by every later Flat of the same tree in which the
+// leaf is unchanged; only the node-level columns are rebuilt per freeze.
+// A Flat is therefore immutable and safe for concurrent readers however
+// the tree moves on. It records node accesses into the source tree's
+// Stats collector, so existing instrumentation keeps working after a
+// freeze.
 type Flat[L, A any] struct {
 	rects      []geo.Rect
 	augs       []A
 	childStart []int32
 	childEnd   []int32
-	entryStart []int32
-	entryEnd   []int32
-	entries    []LeafEntry[L]
-	// sigs and entrySigs are the keyword-signature columns, parallel to
-	// the node slices and to entries respectively; nil when the tree's
-	// augmenter does not implement KeywordSigger.
-	sigs      []vocab.Signature
-	entrySigs []vocab.Signature
-	size      int
-	stats     *Stats
+	// leafEntries holds leaf n's entries at index n, nil for an internal
+	// node.
+	leafEntries [][]LeafEntry[L]
+	// sigs is the node signature column and leafSigs the per-leaf runs
+	// of entry signatures, parallel to leafEntries; both nil when the
+	// tree's augmenter does not implement KeywordSigger.
+	sigs     []vocab.Signature
+	leafSigs [][]vocab.Signature
+	size     int
+	stats    *Stats
 	// tree is the source tree and gen the generation it had when the
 	// snapshot was frozen; together they implement the staleness check.
 	tree *Tree[L, A]
@@ -103,24 +108,27 @@ func (f *Flat[L, A]) Epoch() uint64 { return f.epoch }
 // records the tree generation it was frozen at, and CheckFresh reports
 // an error once the tree has moved past it.
 //
-// Signatures carry over between freezes. Freeze records each node's ID
-// in the new Flat and marks the node clean; recomputeAug, which every
-// insert, delete, split and condense runs on each node it changes,
-// marks it unclean again. The next Freeze copies a clean node's
-// signature, and a clean leaf's run of entry signatures, from the
-// previous Flat, and calls the KeywordSigger only for changed or new
-// nodes. A write that touches one root-to-leaf path therefore re-hashes
-// that path instead of the whole tree. The copied values are the ones
-// the KeywordSigger would return, so the output is identical to a
-// from-scratch freeze; a BulkLoad, a tree's first freeze, and the first
-// freeze after signatures are switched on compute every signature.
+// A freeze costs the nodes the writes since the previous one changed.
+// Freeze records each node's ID in the new Flat and marks the node
+// clean; every insert, delete, split and condense marks the nodes it
+// changes unclean again. The next Freeze takes a clean leaf's entry run,
+// and a clean node's signature and entry-signature run, from the
+// previous Flat, and copies or hashes only changed and new nodes: a
+// write that touches one root-to-leaf path costs that path plus the
+// node-level columns. Each new run is a fresh allocation that no later
+// write touches, so every Flat stays exactly as it was frozen, and the
+// output is identical to a from-scratch freeze. A BulkLoad and a tree's
+// first freeze build every run; the first freeze after signatures are
+// switched on computes every signature.
 //
 // Freeze writes this per-node bookkeeping, so it must be serialized
 // with the tree's mutations and with other freezes of the same tree.
 func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 	f := &Flat[L, A]{stats: &t.stats, size: t.size, tree: t, gen: t.gen.Load()}
+	// prev is the snapshot the clean nodes' flatIDs index into.
+	prev := t.last
+	t.last = f
 	if t.root == nil {
-		t.last = nil
 		return f
 	}
 	nodes := t.NodeCount()
@@ -128,20 +136,16 @@ func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 	f.augs = make([]A, 0, nodes)
 	f.childStart = make([]int32, 0, nodes)
 	f.childEnd = make([]int32, 0, nodes)
-	f.entryStart = make([]int32, 0, nodes)
-	f.entryEnd = make([]int32, 0, nodes)
-	f.entries = make([]LeafEntry[L], 0, t.size)
+	f.leafEntries = make([][]LeafEntry[L], nodes)
 	sigger, _ := t.aug.(KeywordSigger[L, A])
 	if t.noFreezeSigs {
 		sigger = nil
 	}
-	// prev is the snapshot the clean nodes' flatIDs index into.
-	var prev *Flat[L, A]
 	if sigger != nil {
 		f.sigs = make([]vocab.Signature, 0, nodes)
-		f.entrySigs = make([]vocab.Signature, 0, t.size)
-		prev = t.last
+		f.leafSigs = make([][]vocab.Signature, nodes)
 	}
+	carrySigs := sigger != nil && prev != nil && prev.HasSigs()
 
 	// Breadth-first layout: the queue position of a node is its ID, so
 	// appending a node's children consecutively yields contiguous child
@@ -151,9 +155,10 @@ func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 	for head := 0; head < len(queue); head++ {
 		n := queue[head]
 		carry := prev != nil && n.clean
+		carrySig := carry && carrySigs
 		f.rects = append(f.rects, n.rect)
 		f.augs = append(f.augs, n.aug)
-		if carry {
+		if carrySig {
 			f.sigs = append(f.sigs, prev.sigs[n.flatID])
 		} else if sigger != nil {
 			f.sigs = append(f.sigs, sigger.NodeSig(&n.aug))
@@ -161,29 +166,27 @@ func (t *Tree[L, A]) Freeze() *Flat[L, A] {
 		if n.leaf {
 			f.childStart = append(f.childStart, 0)
 			f.childEnd = append(f.childEnd, 0)
-			f.entryStart = append(f.entryStart, int32(len(f.entries)))
-			f.entries = append(f.entries, n.entries...)
-			f.entryEnd = append(f.entryEnd, int32(len(f.entries)))
 			if carry {
-				f.entrySigs = append(f.entrySigs, prev.entrySigs[prev.entryStart[n.flatID]:prev.entryEnd[n.flatID]]...)
+				f.leafEntries[head] = prev.leafEntries[n.flatID]
+			} else {
+				f.leafEntries[head] = append(make([]LeafEntry[L], 0, len(n.entries)), n.entries...)
+			}
+			if carrySig {
+				f.leafSigs[head] = prev.leafSigs[n.flatID]
 			} else if sigger != nil {
+				ss := make([]vocab.Signature, len(n.entries))
 				for i := range n.entries {
-					f.entrySigs = append(f.entrySigs, sigger.LeafSig(&n.entries[i].Item))
+					ss[i] = sigger.LeafSig(&n.entries[i].Item)
 				}
+				f.leafSigs[head] = ss
 			}
 		} else {
 			lo := int32(len(queue))
 			queue = append(queue, n.children...)
 			f.childStart = append(f.childStart, lo)
 			f.childEnd = append(f.childEnd, lo+int32(len(n.children)))
-			f.entryStart = append(f.entryStart, 0)
-			f.entryEnd = append(f.entryEnd, 0)
 		}
 		n.clean, n.flatID = true, int32(head)
-	}
-	t.last = nil
-	if sigger != nil {
-		t.last = f
 	}
 	return f
 }
@@ -262,29 +265,21 @@ func (f *Flat[L, A]) Children(n int32) (lo, hi int32) {
 	return f.childStart[n], f.childEnd[n]
 }
 
-// Entries returns node n's leaf entries as a sub-slice of the shared
-// entry arena; empty for internal nodes. Callers must not mutate it.
+// Entries returns leaf n's entries; empty for internal nodes. Callers
+// must not mutate it.
 //
 //yask:hotpath
-func (f *Flat[L, A]) Entries(n int32) []LeafEntry[L] {
-	return f.entries[f.entryStart[n]:f.entryEnd[n]]
-}
+func (f *Flat[L, A]) Entries(n int32) []LeafEntry[L] { return f.leafEntries[n] }
 
-// EntryRange returns the index range [lo, hi) of node n's leaf entries
-// in the shared entry arena (AllEntries / EntrySigs); empty for
-// internal nodes. Traversals that need the per-entry signature column
-// address entries by arena index instead of Entries' sub-slice.
-//
-//yask:hotpath
-func (f *Flat[L, A]) EntryRange(n int32) (lo, hi int32) {
-	return f.entryStart[n], f.entryEnd[n]
+// AllEntries returns every leaf entry in the snapshot in layout order,
+// assembled into a fresh slice that the caller owns and may reorder.
+func (f *Flat[L, A]) AllEntries() []LeafEntry[L] {
+	out := make([]LeafEntry[L], 0, f.size)
+	for _, run := range f.leafEntries {
+		out = append(out, run...)
+	}
+	return out
 }
-
-// AllEntries returns every leaf entry in the snapshot in layout order.
-// Callers must not mutate the returned slice.
-//
-//yask:hotpath
-func (f *Flat[L, A]) AllEntries() []LeafEntry[L] { return f.entries }
 
 // HasSigs reports whether the snapshot carries keyword-signature
 // columns (the source tree's augmenter implements KeywordSigger).
@@ -298,12 +293,12 @@ func (f *Flat[L, A]) HasSigs() bool { return f.sigs != nil }
 //yask:hotpath
 func (f *Flat[L, A]) Sig(n int32) *vocab.Signature { return &f.sigs[n] }
 
-// EntrySigs returns the per-entry signature column, parallel to
-// AllEntries; nil when the snapshot carries no signatures. Callers must
-// not mutate it.
+// LeafSigs returns the signatures of leaf n's entries, parallel to
+// Entries(n); empty for internal nodes. Only valid when HasSigs;
+// callers must not mutate it.
 //
 //yask:hotpath
-func (f *Flat[L, A]) EntrySigs() []vocab.Signature { return f.entrySigs }
+func (f *Flat[L, A]) LeafSigs(n int32) []vocab.Signature { return f.leafSigs[n] }
 
 // VerifySigs checks the snapshot's signature columns against s: every
 // node signature must equal s.NodeSig of the node's augmentation and
@@ -314,18 +309,57 @@ func (f *Flat[L, A]) VerifySigs(s KeywordSigger[L, A]) error {
 	if !f.HasSigs() {
 		return nil
 	}
-	if len(f.sigs) != len(f.rects) || len(f.entrySigs) != len(f.entries) {
-		return fmt.Errorf("rtree: %d node and %d entry signatures for %d nodes and %d entries",
-			len(f.sigs), len(f.entrySigs), len(f.rects), len(f.entries))
+	if len(f.sigs) != len(f.rects) || len(f.leafSigs) != len(f.rects) {
+		return fmt.Errorf("rtree: %d node signatures and %d entry-signature runs for %d nodes",
+			len(f.sigs), len(f.leafSigs), len(f.rects))
 	}
 	for n := range f.sigs {
 		if f.sigs[n] != s.NodeSig(&f.augs[n]) {
 			return fmt.Errorf("rtree: node %d signature differs from its augmentation's", n)
 		}
+		es, ss := f.leafEntries[n], f.leafSigs[n]
+		if len(ss) != len(es) {
+			return fmt.Errorf("rtree: node %d has %d entry signatures for %d entries", n, len(ss), len(es))
+		}
+		for i := range ss {
+			if ss[i] != s.LeafSig(&es[i].Item) {
+				return fmt.Errorf("rtree: node %d entry %d signature differs from its item's", n, i)
+			}
+		}
 	}
-	for i := range f.entrySigs {
-		if f.entrySigs[i] != s.LeafSig(&f.entries[i].Item) {
-			return fmt.Errorf("rtree: entry %d signature differs from its item's", i)
+	return nil
+}
+
+// VerifySummaries checks every node's MBR and augmentation against the
+// fold the tree computes from scratch: for a leaf, the union of its
+// entries' rects and aug's merge of their FromLeaf summaries; for an
+// internal node, the same over its children in order. Values compare
+// with reflect.DeepEqual. It returns an error naming the first
+// mismatch, or nil. Intended for tests and debugging.
+func (f *Flat[L, A]) VerifySummaries(aug Augmenter[L, A]) error {
+	for n := int32(0); n < int32(len(f.rects)); n++ {
+		var r geo.Rect
+		var a A
+		if f.IsLeaf(n) {
+			for i, e := range f.leafEntries[n] {
+				if i == 0 {
+					r, a = e.Rect, aug.FromLeaf(e.Item)
+					continue
+				}
+				r, a = r.Union(e.Rect), aug.Merge(a, aug.FromLeaf(e.Item))
+			}
+		} else {
+			lo, hi := f.Children(n)
+			r, a = f.rects[lo], f.augs[lo]
+			for c := lo + 1; c < hi; c++ {
+				r, a = r.Union(f.rects[c]), aug.Merge(a, f.augs[c])
+			}
+		}
+		if r != f.rects[n] {
+			return fmt.Errorf("rtree: node %d MBR %v, its content's is %v", n, f.rects[n], r)
+		}
+		if !reflect.DeepEqual(a, f.augs[n]) {
+			return fmt.Errorf("rtree: node %d augmentation differs from the fold over its content", n)
 		}
 	}
 	return nil

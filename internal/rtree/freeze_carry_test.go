@@ -1,8 +1,13 @@
 package rtree
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/yask-engine/yask/internal/geo"
@@ -17,14 +22,17 @@ type kwItem struct {
 }
 
 // unionSigger folds keyword documents into their union and counts the
-// KeywordSigger calls Freeze makes.
+// KeywordSigger calls Freeze makes and the Merge calls of mutations.
 type unionSigger struct {
-	nodeSigs, leafSigs *int
+	nodeSigs, leafSigs, merges *int
 }
 
 func (unionSigger) FromLeaf(it kwItem) vocab.KeywordSet { return it.doc }
 
-func (unionSigger) Merge(a, b vocab.KeywordSet) vocab.KeywordSet { return a.Union(b) }
+func (s unionSigger) Merge(a, b vocab.KeywordSet) vocab.KeywordSet {
+	*s.merges++
+	return a.Union(b)
+}
 
 func (s unionSigger) NodeSig(a *vocab.KeywordSet) vocab.Signature {
 	*s.nodeSigs++
@@ -44,7 +52,17 @@ func (s unionSigger) counts() (nodeSigs, leafSigs int) {
 	return nodeSigs, leafSigs
 }
 
-func newUnionSigger() unionSigger { return unionSigger{nodeSigs: new(int), leafSigs: new(int)} }
+// mergeCount resets the Merge counter and returns its value before the
+// reset.
+func (s unionSigger) mergeCount() int {
+	n := *s.merges
+	*s.merges = 0
+	return n
+}
+
+func newUnionSigger() unionSigger {
+	return unionSigger{nodeSigs: new(int), leafSigs: new(int), merges: new(int)}
+}
 
 func randomKwItem(rng *rand.Rand, id int) (geo.Rect, kwItem) {
 	var words []vocab.Keyword
@@ -135,11 +153,16 @@ func TestFreezeReHashesOnlyTouchedNodes(t *testing.T) {
 		t.Fatal("no target leaf found")
 	}
 
-	// An insert that does not split changes one leaf and its ancestors.
+	// An insert that does not split changes one leaf and its ancestors,
+	// folding the item's summary into each with one Merge.
 	nodes := tr.NodeCount()
+	s.mergeCount()
 	insertInto(func(c int) bool { return c < maxE })
 	if tr.NodeCount() != nodes {
 		t.Fatal("insert into a non-full leaf split")
+	}
+	if merges := s.mergeCount(); merges > tr.Height()+1 {
+		t.Fatalf("insert without a split: %d Merge calls, want ≤ %d (height %d)", merges, tr.Height()+1, tr.Height())
 	}
 	bound("insert", tr.Height(), tr.MaxEntries())
 
@@ -173,12 +196,143 @@ func TestFreezeReHashesOnlyTouchedNodes(t *testing.T) {
 	}
 }
 
-// TestFreezeCarryMatchesFromScratch is the property test of the
-// signature carry-over: random bulk loads, inserts and deletes, one to
-// three between freezes, with signatures occasionally switched off and
-// on. After every freeze each node and entry signature must equal what
-// the KeywordSigger computes from scratch.
+// scratchFlat lays the tree out the way Freeze does, from the nodes
+// alone: a fresh copy of every leaf run and every signature hashed,
+// nothing carried over. The sigger calls it makes are not counted.
+func scratchFlat(tr *Tree[kwItem, vocab.KeywordSet], s unionSigger, sigs bool) *Flat[kwItem, vocab.KeywordSet] {
+	defer s.counts()
+	f := &Flat[kwItem, vocab.KeywordSet]{size: tr.size, gen: tr.gen.Load()}
+	if tr.root == nil {
+		return f
+	}
+	queue := []*Node[kwItem, vocab.KeywordSet]{tr.root}
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		f.rects = append(f.rects, n.rect)
+		f.augs = append(f.augs, n.aug)
+		var run []LeafEntry[kwItem]
+		var ss []vocab.Signature
+		if n.leaf {
+			f.childStart = append(f.childStart, 0)
+			f.childEnd = append(f.childEnd, 0)
+			run = append([]LeafEntry[kwItem]{}, n.entries...)
+			ss = make([]vocab.Signature, len(run))
+			for i := range run {
+				ss[i] = s.LeafSig(&run[i].Item)
+			}
+		} else {
+			lo := int32(len(queue))
+			queue = append(queue, n.children...)
+			f.childStart = append(f.childStart, lo)
+			f.childEnd = append(f.childEnd, lo+int32(len(n.children)))
+		}
+		f.leafEntries = append(f.leafEntries, run)
+		if sigs {
+			f.sigs = append(f.sigs, s.NodeSig(&n.aug))
+			f.leafSigs = append(f.leafSigs, ss)
+		}
+	}
+	return f
+}
+
+// deepCopyFlat copies every column of f down to the keyword arrays, so
+// a later write into any memory f references shows as a difference.
+func deepCopyFlat(f *Flat[kwItem, vocab.KeywordSet]) *Flat[kwItem, vocab.KeywordSet] {
+	cp := *f
+	cp.rects = slices.Clone(f.rects)
+	cp.childStart = slices.Clone(f.childStart)
+	cp.childEnd = slices.Clone(f.childEnd)
+	cp.sigs = slices.Clone(f.sigs)
+	cp.augs = nil
+	for _, a := range f.augs {
+		cp.augs = append(cp.augs, slices.Clone(a))
+	}
+	cp.leafEntries = nil
+	for _, run := range f.leafEntries {
+		var c []LeafEntry[kwItem]
+		if run != nil {
+			c = make([]LeafEntry[kwItem], len(run))
+			for i, e := range run {
+				c[i] = LeafEntry[kwItem]{Rect: e.Rect, Item: kwItem{id: e.Item.id, doc: slices.Clone(e.Item.doc)}}
+			}
+		}
+		cp.leafEntries = append(cp.leafEntries, c)
+	}
+	cp.leafSigs = nil
+	for _, ss := range f.leafSigs {
+		cp.leafSigs = append(cp.leafSigs, slices.Clone(ss))
+	}
+	return &cp
+}
+
+// diffFlats names the first column in which a and b differ, or returns
+// "" when every column is equal.
+func diffFlats(a, b *Flat[kwItem, vocab.KeywordSet]) string {
+	switch {
+	case a.size != b.size:
+		return fmt.Sprintf("size %d vs %d", a.size, b.size)
+	case !reflect.DeepEqual(a.rects, b.rects):
+		return "rects"
+	case !reflect.DeepEqual(a.augs, b.augs):
+		return "augs"
+	case !reflect.DeepEqual(a.childStart, b.childStart) || !reflect.DeepEqual(a.childEnd, b.childEnd):
+		return "child ranges"
+	case !reflect.DeepEqual(a.leafEntries, b.leafEntries):
+		return "leaf runs"
+	case !reflect.DeepEqual(a.sigs, b.sigs):
+		return "node signatures"
+	case !reflect.DeepEqual(a.leafSigs, b.leafSigs):
+		return "entry signatures"
+	}
+	return ""
+}
+
+// kwCodec serializes kwItem leaves and keyword-set augmentations, so the
+// property test can compare arena bytes. Only the append half is used.
+type kwCodec struct{}
+
+func appendKeywords(dst []byte, set vocab.KeywordSet) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(set)))
+	for _, kw := range set {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(kw))
+	}
+	return dst
+}
+
+func (kwCodec) AppendItems(dst []byte, entries []LeafEntry[kwItem]) []byte {
+	for _, e := range entries {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Item.id))
+		dst = appendKeywords(dst, e.Item.doc)
+	}
+	return dst
+}
+
+func (kwCodec) DecodeItems([]byte, int) ([]LeafEntry[kwItem], error) {
+	return nil, errors.New("kwCodec: decode unsupported")
+}
+
+func (kwCodec) AppendAugs(dst []byte, augs []vocab.KeywordSet) []byte {
+	for _, a := range augs {
+		dst = appendKeywords(dst, a)
+	}
+	return dst
+}
+
+func (kwCodec) DecodeAugs([]byte, int) ([]vocab.KeywordSet, error) {
+	return nil, errors.New("kwCodec: decode unsupported")
+}
+
+// TestFreezeCarryMatchesFromScratch is the snapshot property test of
+// the carry-over: random bulk loads, inserts and deletes, one to three
+// between freezes, with signatures occasionally switched off and on.
+// After every freeze each column — rects, augmentations, child ranges,
+// leaf runs, node and entry signatures — must equal a from-scratch
+// layout of the same tree, and so must the arena file bytes; and each
+// of the last 8 snapshots must still equal the deep copy taken when it
+// was frozen, however many later writes and freezes shared its runs.
 func TestFreezeCarryMatchesFromScratch(t *testing.T) {
+	const keep, steps = 8, 250
+	meta := ArenaMeta{LSN: 7, MaxDist: 1, Vocab: []string{"a"}}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := newUnionSigger()
@@ -187,10 +341,15 @@ func TestFreezeCarryMatchesFromScratch(t *testing.T) {
 			rect geo.Rect
 			item kwItem
 		}
+		type frozen struct {
+			step       int
+			flat, copy *Flat[kwItem, vocab.KeywordSet]
+		}
 		var live []stored
+		var history []frozen
 		next := 0
 		sigsOn := true
-		for step := 0; step < 250; step++ {
+		for step := 0; step < steps; step++ {
 			for m := 1 + rng.Intn(3); m > 0; m-- {
 				switch p := rng.Float64(); {
 				case p < 0.02:
@@ -222,14 +381,41 @@ func TestFreezeCarryMatchesFromScratch(t *testing.T) {
 				sigsOn = !sigsOn
 				tr.SetFreezeSigs(sigsOn)
 			}
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
 			f := tr.Freeze()
 			if f.NumNodes() > 0 && f.HasSigs() != sigsOn {
-				t.Fatalf("seed %d step %d: HasSigs %v with signatures on=%v", seed, step, f.HasSigs(), sigsOn)
+				t.Fatalf("%s: HasSigs %v with signatures on=%v", ctx, f.HasSigs(), sigsOn)
 			}
 			if f.Len() != len(live) {
-				t.Fatalf("seed %d step %d: %d items frozen, want %d", seed, step, f.Len(), len(live))
+				t.Fatalf("%s: %d items frozen, want %d", ctx, f.Len(), len(live))
 			}
-			checkFrozenSigs(t, fmt.Sprintf("seed %d step %d", seed, step), f, s)
+			checkFrozenSigs(t, ctx, f, s)
+			if err := f.VerifySummaries(s); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			want := scratchFlat(tr, s, f.HasSigs())
+			if d := diffFlats(f, want); d != "" {
+				t.Fatalf("%s: %s differ from a from-scratch freeze", ctx, d)
+			}
+			if !bytes.Equal(f.AppendArena(nil, kwCodec{}, meta), want.AppendArena(nil, kwCodec{}, meta)) {
+				t.Fatalf("%s: arena bytes differ from a from-scratch freeze's", ctx)
+			}
+			// A write into a snapshot's memory persists, so checking each
+			// snapshot once, as it leaves the window of the last 8 (or at
+			// the end), catches every write made while it was in it.
+			history = append(history, frozen{step, f, deepCopyFlat(f)})
+			check := history[:0]
+			if len(history) > keep {
+				check, history = history[:1], history[1:]
+			}
+			if step == steps-1 {
+				check = history
+			}
+			for _, h := range check {
+				if d := diffFlats(h.flat, h.copy); d != "" {
+					t.Fatalf("%s: the snapshot frozen at step %d changed since: %s", ctx, h.step, d)
+				}
+			}
 		}
 	}
 }

@@ -30,7 +30,10 @@ type Augmenter[L, A any] interface {
 	// FromLeaf returns the summary of a single leaf item.
 	FromLeaf(item L) A
 	// Merge combines two summaries. It must be associative and
-	// commutative so that fold order does not matter.
+	// commutative so that fold order does not matter: Insert folds a new
+	// item's summary into each node on its path instead of re-merging
+	// the node's content, and relies on the result being the same. It
+	// must not modify a or b, which frozen snapshots may share.
 	Merge(a, b A) A
 }
 
@@ -143,9 +146,9 @@ type Tree[L, A any] struct {
 	// packages whose signature layer is disabled, so the off switch
 	// skips the column build cost and memory, not just the probes.
 	noFreezeSigs bool
-	// last is the Flat of the most recent Freeze that built signature
-	// columns (nil otherwise). The next Freeze copies the signatures of
-	// clean nodes from it instead of re-hashing them.
+	// last is the Flat of the most recent Freeze. The next Freeze takes
+	// clean nodes' leaf runs and signatures from it instead of copying
+	// and re-hashing them.
 	last *Flat[L, A]
 }
 
@@ -178,8 +181,8 @@ type Node[L, A any] struct {
 	leaf bool
 	// clean reports that the node's augmentation and, for a leaf, its
 	// entries are unchanged since the tree's last Freeze, which laid the
-	// node out as flatID. recomputeAug clears it; a new node starts
-	// unclean.
+	// node out as flatID. recomputeAug and foldIn clear it; a new node
+	// starts unclean.
 	clean    bool
 	flatID   int32
 	entries  []LeafEntry[L]
@@ -252,8 +255,8 @@ func (t *Tree[L, A]) NodeCount() int {
 }
 
 // recomputeAug rebuilds a node's summary from its direct content. Every
-// change to a node's entries or children ends here, so it is also where
-// the node is marked as changed since the last Freeze.
+// change to a node's entries or children ends here or in foldIn, so
+// both are where the node is marked as changed since the last Freeze.
 func (t *Tree[L, A]) recomputeAug(n *Node[L, A]) {
 	n.clean = false
 	if n.leaf {
@@ -297,7 +300,9 @@ func (n *Node[L, A]) recomputeRect() {
 	n.rect = r
 }
 
-// Insert adds item with the given MBR.
+// Insert adds item with the given MBR. Its summary is folded into the
+// leaf and every ancestor that does not split, one Merge per node;
+// only nodes that split re-merge their content.
 func (t *Tree[L, A]) Insert(rect geo.Rect, item L) {
 	t.gen.Add(1)
 	t.size++
@@ -306,17 +311,27 @@ func (t *Tree[L, A]) Insert(rect geo.Rect, item L) {
 	}
 	leaf, path := t.chooseLeaf(rect)
 	leaf.entries = append(leaf.entries, LeafEntry[L]{Rect: rect, Item: item})
+	a := t.aug.FromLeaf(item)
 	var split *Node[L, A]
-	if len(leaf.entries) > t.maxE {
+	switch {
+	case len(leaf.entries) > t.maxE:
 		split = t.splitLeaf(leaf)
-	} else {
-		leaf.rect = leaf.rect.Union(rect)
-		if len(leaf.entries) == 1 {
-			leaf.rect = rect
-		}
-		t.recomputeAug(leaf)
+	case len(leaf.entries) == 1:
+		leaf.clean, leaf.rect, leaf.aug = false, rect, a
+	default:
+		t.foldIn(leaf, rect, a)
 	}
-	t.adjustUp(path, split)
+	t.adjustUp(path, split, rect, a)
+}
+
+// foldIn adds one item's MBR and summary a to node n, whose rect and
+// aug already cover the rest of its content. The result equals a
+// recompute by the Augmenter contract (Merge is associative and
+// commutative), at one Merge instead of one per entry or child.
+func (t *Tree[L, A]) foldIn(n *Node[L, A], rect geo.Rect, a A) {
+	n.clean = false
+	n.rect = n.rect.Union(rect)
+	n.aug = t.aug.Merge(n.aug, a)
 }
 
 // chooseLeaf descends by least enlargement (area as tie-breaker) and
@@ -342,9 +357,11 @@ func (t *Tree[L, A]) chooseLeaf(rect geo.Rect) (*Node[L, A], []*Node[L, A]) {
 }
 
 // adjustUp fixes MBRs and augmentations along the path after an insert
-// into (a possibly split) child. split is the new sibling produced at the
-// lowest level, or nil.
-func (t *Tree[L, A]) adjustUp(path []*Node[L, A], split *Node[L, A]) {
+// of an item with MBR rect and summary a into (a possibly split) child.
+// split is the new sibling produced at the lowest level, or nil. A node
+// that splits recomputes both halves; every other node on the path
+// folds the item in.
+func (t *Tree[L, A]) adjustUp(path []*Node[L, A], split *Node[L, A], rect geo.Rect, a A) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		if split != nil {
@@ -353,9 +370,9 @@ func (t *Tree[L, A]) adjustUp(path []*Node[L, A], split *Node[L, A]) {
 		}
 		if len(n.children) > t.maxE {
 			split = t.splitInternal(n)
+		} else {
+			t.foldIn(n, rect, a)
 		}
-		n.recomputeRect()
-		t.recomputeAug(n)
 	}
 	if split != nil {
 		// Root split: grow the tree.

@@ -189,9 +189,9 @@ func LoadArena(raw *rtree.RawArena, c *object.Collection, maxEntries int) (*Inde
 	ix.pub = rtree.NewMappedPublisher(f, wrap, func(ff *rtree.Flat[object.Object, Aug]) *rtree.Tree[object.Object, Aug] {
 		t := rtree.New[object.Object, Aug](augmenter{}, maxEntries)
 		t.SetFreezeSigs(ix.sigs)
-		// BulkLoad sorts its input in place; the mapped flat keeps
-		// serving, so it must not see its entry slice reordered.
-		t.BulkLoad(append([]rtree.LeafEntry[object.Object](nil), ff.AllEntries()...))
+		// AllEntries assembles a fresh slice, so the mapped flat that
+		// keeps serving never sees it reordered.
+		t.BulkLoad(ff.AllEntries())
 		return t
 	})
 	return ix, nil

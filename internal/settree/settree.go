@@ -411,13 +411,13 @@ func (a *Arena) TopK(cc index.Cancel, s score.Scorer, k int, shared *index.Bound
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
-	dst = index.BestFirstTopK(f, cc, k, shared, sc.nodes, sc.cand,
+	qs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
+	dst = index.BestFirstTopK(f, cc, k, shared, sc.nodes, sc.cand, useSig,
 		func(n int32, limit float64) float64 {
 			return boundAt(f, s, &qs, useSig, n, limit, &sc.ctr)
 		},
-		func(ei int32, e *rtree.LeafEntry[object.Object], limit float64) (float64, bool) {
-			return index.ScoreEntryCounted(&s, e, esigs, ei, &qs, limit, &sc.ctr)
+		func(e *rtree.LeafEntry[object.Object], ss []vocab.Signature, i int, limit float64) (float64, bool) {
+			return index.ScoreEntryCounted(&s, e, ss, i, &qs, limit, &sc.ctr)
 		},
 		dst)
 	sc.ctr.Flush(f.Stats())
@@ -436,17 +436,16 @@ func (a *Arena) CountBetter(cc index.Cancel, s score.Scorer, refScore float64, t
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, esigs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
-	entries := f.AllEntries()
+	qs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	count := 0
 	sc.stack = index.PrunedDFS(f, cc, sc.stack, 1,
 		func(n int32, _ uint64) {
-			eLo, eHi := f.EntryRange(n)
-			for ei := eLo; ei < eHi; ei++ {
-				e := &entries[ei]
+			es, ss := f.Entries(n), index.LeafSigs(f, useSig, n)
+			for i := range es {
+				e := &es[i]
 				// An entry capped strictly below refScore cannot
 				// dominate the reference pair, whatever its ID.
-				scv, ok := index.ScoreEntryCounted(&s, e, esigs, ei, &qs, refScore, &sc.ctr)
+				scv, ok := index.ScoreEntryCounted(&s, e, ss, i, &qs, refScore, &sc.ctr)
 				if ok && score.Better(scv, e.Item.ID, refScore, tie) {
 					count++
 				}
@@ -508,7 +507,7 @@ func (a *Arena) ForEachCrossLines(cc index.Cancel, s score.Scorer, lines []index
 	ix, f := a.ix, a.f
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qs, _, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
+	qs, useSig := index.PrepareSig(f, ix.sigs, s.Query.Doc)
 	sc.stack = index.PrunedDFS(f, cc, sc.stack, index.LinesMask(lines),
 		func(n int32, mask uint64) {
 			es := f.Entries(n)

@@ -19,24 +19,28 @@ func TestArenaCarriesSignatures(t *testing.T) {
 	if !f.HasSigs() {
 		t.Fatal("frozen SetR arena has no signature columns")
 	}
-	if got, want := len(f.EntrySigs()), f.Len(); got != want {
-		t.Fatalf("entry signature column has %d rows, want %d", got, want)
-	}
 	// Spot-check the signature semantics at every node: the node sig
 	// must cover the signature of its augmentation union, and every
 	// entry sig must equal its document's signature.
+	entrySigs := 0
 	for n := int32(0); n < int32(f.NumNodes()); n++ {
 		want := f.Aug(n).Union.Signature()
 		if *f.Sig(n) != want {
 			t.Fatalf("node %d signature does not match its union", n)
 		}
-	}
-	entries := f.AllEntries()
-	sigs := f.EntrySigs()
-	for i := range entries {
-		if sigs[i] != entries[i].Item.Doc.Signature() {
-			t.Fatalf("entry %d signature does not match its document", i)
+		es, ss := f.Entries(n), f.LeafSigs(n)
+		if len(ss) != len(es) {
+			t.Fatalf("leaf %d has %d entry signatures for %d entries", n, len(ss), len(es))
 		}
+		for i := range es {
+			if ss[i] != es[i].Item.Doc.Signature() {
+				t.Fatalf("leaf %d entry %d signature does not match its document", n, i)
+			}
+		}
+		entrySigs += len(ss)
+	}
+	if entrySigs != f.Len() {
+		t.Fatalf("entry signature runs hold %d rows, want %d", entrySigs, f.Len())
 	}
 }
 
